@@ -21,7 +21,7 @@ from .labels import (
     WordParseError,
 )
 from .words import Alphabet, GenWord
-from .wreath import Recursion
+from .wreath import Recursion, iterate_to_terminal
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
 #: marks recursions whose nuclei only exist over the group of tree actions
@@ -78,24 +78,17 @@ def _cmd_classify_rabbit(args) -> int:
         )
         return 2
     w = _parse_word(rabbit.MCG, args.word)
-    iterations = 0
-    cur = w
-    while True:
-        if (
-            cur.is_identity
-            or cur == rabbit.MCG.parse("T")
-            or cur in rabbit.CORABBIT_CYCLE
-        ):
-            break
-        if iterations >= args.max_iters:
-            raise Diverged(f"no terminal value within {args.max_iters} iterations")
-        cur = rabbit.psi_bar(cur)
-        iterations += 1
-    label = rabbit.classify_mcg(w, args.max_iters)
+    return _emit_orbit(args, w, rabbit.psi_bar, rabbit.TERMINAL_LABELS)
+
+
+def _emit_orbit(args, w: GenWord, step, terminals) -> int:
+    """Report the label of the orbit of ``w`` under ``step``, with the
+    terminal word it reaches and the step count."""
+    label, witness, steps = iterate_to_terminal(step, terminals, w, args.max_iters)
     payload = _label_payload(
-        "classify-rabbit", str(w), label, iterations=iterations, witness=str(cur)
+        args.command, str(w), label, iterations=steps, witness=str(witness)
     )
-    _emit(args, payload, f"{w} twist: {label} (reached {cur} in {iterations} steps)")
+    _emit(args, payload, f"{w} twist: {label} (reached {witness} in {steps} steps)")
     return 0
 
 
@@ -113,20 +106,7 @@ def _cmd_classify_i(args) -> int:
 
 def _cmd_classify_quater(args) -> int:
     w = _parse_word(preperiod2.MODULI, args.word)
-    iterations = 0
-    cur = w
-    terminals = [t for t, _ in preperiod2.TERMINAL_LABELS]
-    while not any(cur in t for t in terminals):
-        if iterations >= args.max_iters:
-            raise Diverged(f"no terminal value within {args.max_iters} iterations")
-        cur = preperiod2.psi_bar_q(cur)
-        iterations += 1
-    label = preperiod2.classify_quater(w, args.max_iters)
-    payload = _label_payload(
-        "classify-quater", str(w), label, iterations=iterations, witness=str(cur)
-    )
-    _emit(args, payload, f"{w} twist: {label} (reached {cur} in {iterations} steps)")
-    return 0
+    return _emit_orbit(args, w, preperiod2.psi_bar_q, preperiod2.TERMINAL_LABELS)
 
 
 def _cmd_nucleus(args) -> int:

@@ -34,14 +34,16 @@ _PUNCTURE_EPS = 1e-8
 class RationalFamily:
     """Pull-back dynamics of one family on the thrice-punctured sphere.
 
-    ``loops`` maps each mapping-class letter to the puncture it encircles and
-    the traversal direction (+1 counterclockwise, -1 clockwise).
+    ``poles`` lists the poles of ``formula`` away from the punctures, which
+    :meth:`apply` guards like the punctures.  ``loops`` maps each
+    mapping-class letter to the puncture it encircles and the traversal
+    direction (+1 counterclockwise, -1 clockwise).
     """
 
     family_id: str
     alphabet: Alphabet
-    apply: Callable[[complex], complex]
-    formula: Callable[[complex], complex]  # same map, no puncture guard
+    poles: tuple[complex, ...]
+    formula: Callable[[complex], complex]
     preimages: Callable[[complex], tuple[complex, complex]]
     basepoint: complex
     fixed_points: tuple[tuple[complex, ClassLabel], ...]
@@ -53,6 +55,13 @@ class RationalFamily:
                 raise ValueError(f"{p} is not fixed by the {self.family_id} map")
         if min(abs(self.basepoint - p) for p, _ in self.fixed_points) >= 1e-9:
             raise ValueError("the basepoint must be one of the fixed points")
+
+    def apply(self, w: complex) -> complex:
+        """The family map, refusing points next to a puncture or a pole."""
+        for p in _PUNCTURES + self.poles:
+            if abs(w - p) < _PUNCTURE_EPS:
+                raise PunctureProximity(f"{w} is within {_PUNCTURE_EPS} of {p}")
+        return self.formula(w)
 
 
 def _newton_refine(
@@ -70,10 +79,6 @@ def rabbit_family() -> RationalFamily:
     def raw(w: complex) -> complex:
         return 1 - 1 / (w * w)
 
-    def f(w: complex) -> complex:
-        _check_puncture(w)
-        return raw(w)
-
     def df(w: complex) -> complex:
         return 2 / w**3
 
@@ -81,13 +86,13 @@ def rabbit_family() -> RationalFamily:
         r = cmath.sqrt(1 / (1 - v))
         return (r, -r)
 
-    rabbit = _newton_refine(f, df, 0.8774 + 0.7449j)
-    corabbit = _newton_refine(f, df, 0.8774 - 0.7449j)
-    airplane = _newton_refine(f, df, -0.7549 + 0j)
+    rabbit = _newton_refine(raw, df, 0.8774 + 0.7449j)
+    corabbit = _newton_refine(raw, df, 0.8774 - 0.7449j)
+    airplane = _newton_refine(raw, df, -0.7549 + 0j)
     return RationalFamily(
         family_id="rabbit",
         alphabet=Alphabet(("T", "S")),
-        apply=f,
+        poles=(),
         formula=raw,
         preimages=pre,
         basepoint=rabbit,
@@ -107,10 +112,6 @@ def i_family() -> RationalFamily:
         z = (2 - w) / w
         return z * z
 
-    def f(w: complex) -> complex:
-        _check_puncture(w)
-        return raw(w)
-
     def pre(v: complex) -> tuple[complex, complex]:
         r = cmath.sqrt(v)
         lo, hi = 1 + r, 1 - r
@@ -121,7 +122,7 @@ def i_family() -> RationalFamily:
     return RationalFamily(
         family_id="i",
         alphabet=Alphabet(("a", "b")),
-        apply=f,
+        poles=(),
         formula=raw,
         preimages=pre,
         basepoint=2j,
@@ -139,12 +140,6 @@ def quater_family() -> RationalFamily:
         z = (w - 1) / (w + 1)
         return z * z
 
-    def f(w: complex) -> complex:
-        if abs(w + 1) < _PUNCTURE_EPS:
-            raise PunctureProximity(f"{w} sits on the pole of the family map")
-        _check_puncture(w)
-        return raw(w)
-
     def df(w: complex) -> complex:
         return 4 * (w - 1) / (w + 1) ** 3
 
@@ -155,13 +150,13 @@ def quater_family() -> RationalFamily:
             raise PunctureProximity(f"preimage of {v} runs through infinity")
         return ((1 + r) / lo, (1 - r) / hi)
 
-    p14 = _newton_refine(f, df, -0.6478 + 1.7214j)
-    p34 = _newton_refine(f, df, -0.6478 - 1.7214j)
-    p512 = _newton_refine(f, df, 0.2956 + 0j)
+    p14 = _newton_refine(raw, df, -0.6478 + 1.7214j)
+    p34 = _newton_refine(raw, df, -0.6478 - 1.7214j)
+    p512 = _newton_refine(raw, df, 0.2956 + 0j)
     return RationalFamily(
         family_id="quater",
         alphabet=Alphabet(("a", "b")),
-        apply=f,
+        poles=(-1 + 0j,),
         formula=raw,
         preimages=pre,
         basepoint=p14,
@@ -175,12 +170,6 @@ FAMILIES = {
     "i": i_family,
     "quater": quater_family,
 }
-
-
-def _check_puncture(w: complex) -> None:
-    for p in _PUNCTURES:
-        if abs(w - p) < _PUNCTURE_EPS:
-            raise PunctureProximity(f"{w} is within {_PUNCTURE_EPS} of {p}")
 
 
 def pullback(fam: RationalFamily, w: complex) -> complex:

@@ -14,9 +14,9 @@ from .labels import (
     Diverged,
     obstructed,
 )
-from .words import Alphabet, Endo, GenWord
-from .wreath import Recursion, WreathElem, restrict, substitute_recursion
-from .selfsim import is_kernel_element
+from .words import PI1, Alphabet, Endo, GenWord
+from .wreath import Recursion, WreathElem, coordinate_step, substitute_recursion
+from .selfsim import _shift_order, is_kernel_element
 
 # --- exact Gaussian-integer arithmetic ---------------------------------------
 
@@ -114,7 +114,6 @@ def q_reduce(m: AffineMap) -> QElem:
 
 # --- alphabets and recursions -------------------------------------------------
 
-PI1 = Alphabet(("alpha", "beta", "gamma"))
 MODULI = Alphabet(("a", "b"))
 
 _AL, _BE, _GA = PI1.gens()
@@ -223,16 +222,10 @@ def classify_mod5(w: GenWord) -> ClassLabel:
 # --- the obstructed-index iterator --------------------------------------------
 
 
-def _a_parity(w: GenWord) -> int:
-    return w.letter_count("a") & 1
-
-
 def phi_bar(w: GenWord) -> GenWord:
     """One step of the obstructed-family iterator: the letter-1 coordinate
     map, with an ``a`` correction outside its domain."""
-    if _a_parity(w) == 0:
-        return restrict(_MODULI_REC, w, "1")
-    return _A * restrict(_MODULI_REC, w * _A, "1")
+    return coordinate_step(_MODULI_REC, 1, _A, w)
 
 
 def gx_trivial(w: GenWord, bound: int = 10000) -> bool:
@@ -259,16 +252,9 @@ for _ in range(3):
 def _candidate_indices(w: GenWord, k_max: int):
     """Indices n with pi(w) = pi(b)^n, in order 0, 1, -1, 2, -2, ..."""
     m = affine_image(w)
-    for n in _scan_order(k_max):
+    for n in _shift_order(k_max):
         if _B_POWERS_AFFINE[n & 3] == m:
             yield n
-
-
-def _scan_order(k_max: int):
-    yield 0
-    for k in range(1, k_max + 1):
-        yield k
-        yield -k
 
 
 def _pure_b_exponent(w: GenWord) -> int | None:

@@ -3,11 +3,16 @@ known nuclei, the moduli iterator, and the classifier."""
 
 from __future__ import annotations
 
-from .labels import F14, F34, F512, ClassLabel, Diverged
-from .words import Alphabet, Endo, GenWord
-from .wreath import Recursion, WreathElem, restrict, substitute_recursion
+from .labels import F14, F34, F512, ClassLabel
+from .words import PI1, Alphabet, Endo, GenWord, fold_actions
+from .wreath import (
+    Recursion,
+    WreathElem,
+    coordinate_step,
+    iterate_to_terminal,
+    substitute_recursion,
+)
 
-PI1 = Alphabet(("alpha", "beta", "gamma"))
 MODULI = Alphabet(("a", "b"))
 
 _AL, _BE, _GA = PI1.gens()
@@ -114,11 +119,7 @@ _MODULI_REC = moduli_q_recursion()
 def psi_bar_q(w: GenWord) -> GenWord:
     """One classifier step: the letter-0 coordinate map with an ``a``
     correction outside its domain."""
-    if w.alphabet != MODULI:
-        raise ValueError("psi_bar_q expects a word over the a,b alphabet")
-    if w.letter_count("a") & 1 == 0:
-        return restrict(_MODULI_REC, w, "0")
-    return _A * restrict(_MODULI_REC, w * ~_A, "0")
+    return coordinate_step(_MODULI_REC, 0, _A, w)
 
 
 # Terminal values of the iterator and the class each one names.  Calibration
@@ -137,14 +138,9 @@ TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
 
 def classify_quater(w: GenWord, max_iters: int = 64) -> ClassLabel:
     """Label of the base polynomial post-twisted by ``w``, by iteration to
-    one of the terminal sets."""
-    cur = w
-    for _ in range(max_iters):
-        for terminal, label in TERMINAL_LABELS:
-            if cur in terminal:
-                return label
-        cur = psi_bar_q(cur)
-    raise Diverged(f"no terminal value within {max_iters} iterations")
+    one of the terminal sets; an orbit revisiting a non-terminal word is
+    reported as Diverged."""
+    return iterate_to_terminal(psi_bar_q, TERMINAL_LABELS, w, max_iters)[0]
 
 
 # --- twist actions on the fundamental group ----------------------------------
@@ -189,20 +185,17 @@ def b_twist_inverse_action() -> Endo:
 
 
 _LETTER_ACTIONS = {
-    ("a", 1): a_twist_action,
-    ("a", -1): a_twist_inverse_action,
-    ("b", 1): b_twist_action,
-    ("b", -1): b_twist_inverse_action,
+    ("a", 1): a_twist_action(),
+    ("a", -1): a_twist_inverse_action(),
+    ("b", 1): b_twist_action(),
+    ("b", -1): b_twist_inverse_action(),
 }
 
 
 def word_action(w: GenWord) -> Endo:
     """Action of a twist word on the fundamental group, letters applied
     left to right."""
-    out = Endo.identity(PI1)
-    for letter in w.letters:
-        out = out.then(_LETTER_ACTIONS[letter]())
-    return out
+    return fold_actions(MODULI, _LETTER_ACTIONS, w)
 
 
 def twisted_quater_recursion(variant: str, w: GenWord) -> Recursion:

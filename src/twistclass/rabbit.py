@@ -3,11 +3,16 @@ mapping-class iterator, and the twist-power classifiers."""
 
 from __future__ import annotations
 
-from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel, Diverged
-from .words import Alphabet, Endo, GenWord
-from .wreath import Recursion, WreathElem, phi_apply, twist_recursion
+from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel
+from .words import PI1, Alphabet, Endo, GenWord, fold_actions
+from .wreath import (
+    Recursion,
+    WreathElem,
+    coordinate_step,
+    iterate_to_terminal,
+    twist_recursion,
+)
 
-PI1 = Alphabet(("alpha", "beta", "gamma"))
 MCG = Alphabet(("T", "S"))
 
 _AL, _BE, _GA = PI1.gens()
@@ -86,22 +91,17 @@ def s_inverse_action() -> Endo:
 
 
 _LETTER_ACTIONS = {
-    ("T", 1): t_action,
-    ("T", -1): t_inverse_action,
-    ("S", 1): s_action,
-    ("S", -1): s_inverse_action,
+    ("T", 1): t_action(),
+    ("T", -1): t_inverse_action(),
+    ("S", 1): s_action(),
+    ("S", -1): s_inverse_action(),
 }
 
 
 def mcg_word_action(w: GenWord) -> Endo:
     """Action of a mapping-class word on the fundamental group, letters
     applied left to right."""
-    if w.alphabet != MCG:
-        raise ValueError("mcg_word_action expects a word over the T,S alphabet")
-    out = Endo.identity(PI1)
-    for letter in w.letters:
-        out = out.then(_LETTER_ACTIONS[letter]())
-    return out
+    return fold_actions(MCG, _LETTER_ACTIONS, w)
 
 
 def twisted_rabbit_recursion(m: int) -> Recursion:
@@ -139,14 +139,18 @@ def psi_bar(w: GenWord) -> GenWord:
     Reads the first coordinate of the recursion image, with a T correction
     when the element is active (i.e. outside the liftable subgroup).
     """
-    elem = phi_apply(_MCG_REC, w)
-    if elem.active:
-        return _T * elem.c0
-    return elem.c0
+    return coordinate_step(_MCG_REC, 0, _T, w)
 
 
 #: the corabbit attractor: the iterator 3-cycle through the inverse twist
 CORABBIT_CYCLE = frozenset({~_T, _T * _T * _S, ~_S})
+
+#: terminal values of the iterator and the class each one names
+TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
+    (frozenset({MCG.identity()}), RABBIT),
+    (frozenset({_T}), AIRPLANE),
+    (CORABBIT_CYCLE, CORABBIT),
+)
 
 
 def classify_mcg(w: GenWord, max_iters: int = 1024) -> ClassLabel:
@@ -156,22 +160,7 @@ def classify_mcg(w: GenWord, max_iters: int = 1024) -> ClassLabel:
     (airplane) or the known 3-cycle (corabbit); any other revisited value
     means a bug, reported as Diverged.
     """
-    if w.alphabet != MCG:
-        raise ValueError("classify_mcg expects a word over the T,S alphabet")
-    seen: set[GenWord] = set()
-    cur = w
-    for _ in range(max_iters):
-        if cur.is_identity:
-            return RABBIT
-        if cur == _T:
-            return AIRPLANE
-        if cur in CORABBIT_CYCLE:
-            return CORABBIT
-        if cur in seen:
-            raise Diverged(f"unexpected iterator cycle through {cur}")
-        seen.add(cur)
-        cur = psi_bar(cur)
-    raise Diverged(f"no terminal value within {max_iters} iterations")
+    return iterate_to_terminal(psi_bar, TERMINAL_LABELS, w, max_iters)[0]
 
 
 def four_adic_digits(m: int) -> list[int]:

@@ -219,6 +219,22 @@ def apply_endo(e: Endo, w: GenWord) -> GenWord:
     return e(w)
 
 
+def fold_actions(source: Alphabet, actions: dict[Letter, Endo], w: GenWord) -> Endo:
+    """Action of a word over ``source`` whose letters act by ``actions``,
+    letters applied left to right."""
+    if w.alphabet != source:
+        raise AlphabetMismatch(f"expected a word over {source.names}: {w}")
+    out = Endo.identity(next(iter(actions.values())).alphabet)
+    for letter in w.letters:
+        out = out.then(actions[letter])
+    return out
+
+
+#: the fundamental group of the plane minus the three post-critical points,
+#: shared by every family
+PI1 = Alphabet(("alpha", "beta", "gamma"))
+
+
 # --- word grammar -----------------------------------------------------------
 #
 # tokens: generator names, "'" (inverse), "^" INT (power), parentheses;

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable
 
-from .labels import AlphabetMismatch
+from .labels import AlphabetMismatch, ClassLabel, Diverged
 from .words import Alphabet, Endo, GenWord, Letter
 
 
@@ -162,6 +163,43 @@ def restrict(rec: Recursion, w: GenWord, v: str) -> GenWord:
     for ch in v:
         cur = phi_apply(rec, cur).coord(_bit(ch))
     return cur
+
+
+def coordinate_step(rec: Recursion, x: int, correction: GenWord, w: GenWord) -> GenWord:
+    """One step of a moduli iterator: ``w|_x``, the letter-``x`` coordinate
+    of the image of ``w``, left-multiplied by ``correction`` when ``w`` is
+    active, i.e. outside the index-2 domain of the coordinate map."""
+    elem = phi_apply(rec, w)
+    if elem.active:
+        return correction * elem.coord(x)
+    return elem.coord(x)
+
+
+def iterate_to_terminal(
+    step: Callable[[GenWord], GenWord],
+    terminals: Iterable[tuple[frozenset[GenWord], ClassLabel]],
+    w: GenWord,
+    max_iters: int,
+) -> tuple[ClassLabel, GenWord, int]:
+    """Iterate ``step`` from ``w`` into one of the ``(terminal set, label)``
+    pairs; return the label, the terminal word reached and the step count.
+
+    Raises Diverged when the orbit revisits a non-terminal word or when
+    none of its first ``max_iters`` words is terminal, so an orbit that
+    needs exactly ``max_iters`` steps gives up.
+    """
+    labels = {t: label for terminal, label in terminals for t in terminal}
+    seen: set[GenWord] = set()
+    cur = w
+    for steps in range(max_iters):
+        label = labels.get(cur)
+        if label is not None:
+            return label, cur, steps
+        if cur in seen:
+            raise Diverged(f"unexpected iterator cycle through {cur}")
+        seen.add(cur)
+        cur = step(cur)
+    raise Diverged(f"no terminal value within {max_iters} iterations")
 
 
 def act(rec: Recursion, w: GenWord, v: str) -> str:

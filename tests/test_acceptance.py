@@ -9,6 +9,7 @@ criterion with all four attractors is the test right below it.
 """
 
 import time
+from functools import lru_cache
 
 from conftest import reduced_words
 from twistclass.labels import (
@@ -30,11 +31,38 @@ from twistclass.selfsim import (
     moore_diagram,
     nucleus,
 )
+from twistclass.words import GenWord
 from twistclass.wreath import act
 
 
 def _report(number: int, detail: str) -> None:
     print(f"ACCEPTANCE {number:2d}: PASS ({detail})")
+
+
+@lru_cache(maxsize=None)
+def _quater_orbit_hits(stop: frozenset[GenWord]):
+    """Where the psi_bar_q orbit of each reduced a,b word of length <= 10
+    first meets ``stop``, within 64 steps.
+
+    Returns, per word of ``stop``, the number of orbits meeting it first and
+    the least such starting word by sort_key; and the words whose orbits miss
+    ``stop``.  Both criterion-12 tests read this one sweep.  The loop is
+    written out here, not taken from the library, because it is the
+    reference the library's orbit loop is checked against.
+    """
+    hits: dict[GenWord, tuple[int, GenWord]] = {}
+    misses = []
+    for w in reduced_words(preperiod2.MODULI, 10):
+        cur = w
+        for _ in range(64):
+            if cur in stop:
+                count, least = hits.get(cur, (0, w))
+                hits[cur] = (count + 1, min(least, w, key=GenWord.sort_key))
+                break
+            cur = preperiod2.psi_bar_q(cur)
+        else:
+            misses.append(w)
+    return hits, misses
 
 
 def test_criterion_01_twist_powers_agree_with_iteration():
@@ -197,26 +225,18 @@ def test_criterion_12_orbits_reach_three_attractor_terminals():
     assert {psi(w) for w in extra_cycle} == extra_cycle
     assert not extra_cycle & source_terminals
 
-    reach_source = 0
-    enter_cycle = []
-    for w in reduced_words(preperiod2.MODULI, 10):
-        cur = w
-        for _ in range(64):
-            if cur in source_terminals:
-                reach_source += 1
-                break
-            if cur in extra_cycle:
-                enter_cycle.append(w)
-                break
-            cur = psi(cur)
-        else:
-            raise AssertionError(
-                f"orbit of {w} reached neither the stated terminals nor the "
-                f"b-cycle in 64 steps"
-            )
+    hits, misses = _quater_orbit_hits(frozenset(source_terminals | extra_cycle))
+    if misses:
+        raise AssertionError(
+            f"orbit of {misses[0]} reached neither the stated terminals nor the "
+            f"b-cycle in 64 steps"
+        )
+    reach_source = sum(n for t, (n, _) in hits.items() if t in source_terminals)
+    enter_cycle = sum(n for t, (n, _) in hits.items() if t in extra_cycle)
     assert reach_source and enter_cycle
     # b' enters too (via a b), but b comes first in the word order
-    assert min(enter_cycle, key=lambda w: w.sort_key()) == B
+    first = [least for t, (_, least) in hits.items() if t in extra_cycle]
+    assert min(first, key=lambda w: w.sort_key()) == B
 
     fam = moduli.FAMILIES["quater"]()
     expected = {one: F14, A: F512, A * ~B * A: F512, ~A * B: F512}
@@ -225,7 +245,7 @@ def test_criterion_12_orbits_reach_three_attractor_terminals():
         assert moduli.classify_numeric(fam, w) == label, str(w)
     _report(
         12,
-        f"three-attractor claim refuted: {len(enter_cycle)} orbits, shortest "
+        f"three-attractor claim refuted: {enter_cycle} orbits, shortest "
         f"b, enter the f_3/4 cycle b -> (ab)^-1 -> a^2",
     )
 
@@ -234,17 +254,11 @@ def test_criterion_12_corrected_orbits_and_printed_nuclei():
     terminals = set()
     for term, _ in preperiod2.TERMINAL_LABELS:
         terminals |= term
-    count = 0
     start = time.monotonic()
-    for w in reduced_words(preperiod2.MODULI, 10):
-        cur = w
-        for _ in range(64):
-            if cur in terminals:
-                break
-            cur = preperiod2.psi_bar_q(cur)
-        else:
-            raise AssertionError(f"orbit of {w} did not land in 64 steps")
-        count += 1
+    hits, misses = _quater_orbit_hits(frozenset(terminals))
+    if misses:
+        raise AssertionError(f"orbit of {misses[0]} did not land in 64 steps")
+    count = sum(n for n, _ in hits.values())
     orbit_time = time.monotonic() - start
 
     from twistclass.selfsim import action_equal

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from twistclass.cli import main, RECURSIONS
-from twistclass.rabbit import MCG
+from twistclass.labels import AIRPLANE, F34, Diverged
+from twistclass.preperiod2 import MODULI, classify_quater
+from twistclass.rabbit import MCG, classify_mcg
 
 
 def run(capsys, *argv):
@@ -148,3 +152,26 @@ def test_nucleus_of_action_level_recursion(capsys):
     code, payload, _ = run_json(capsys, "nucleus", "fi")
     assert code == 0
     assert payload["count"] == 8
+
+
+@pytest.mark.parametrize("command, text, steps, label, witness, classify, alphabet", [
+    ("classify-rabbit", "T^200", 6, AIRPLANE, "T", classify_mcg, MCG),
+    ("classify-quater", "a b^50", 6, F34, "a a", classify_quater, MODULI),
+])
+def test_classify_gives_up_on_a_spent_budget(
+    capsys, command, text, steps, label, witness, classify, alphabet
+):
+    # the orbit reaches its terminal in `steps` steps: a budget of exactly
+    # that many gives up, in the CLI and in the library alike
+    code, payload, _ = run_json(capsys, command, text, "--max-iters", str(steps))
+    assert code == 3
+    assert payload["label"] == "diverged"
+    with pytest.raises(Diverged):
+        classify(alphabet.parse(text), steps)
+
+    code, payload, _ = run_json(capsys, command, text, "--max-iters", str(steps + 1))
+    assert code == 0
+    assert payload["label"] == label.kind
+    assert payload["iterations"] == steps
+    assert payload["witness"] == witness
+    assert classify(alphabet.parse(text), steps + 1) == label

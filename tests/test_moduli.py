@@ -72,6 +72,11 @@ def test_pullback_puncture_proximity():
         pullback(i_family(), 1.0 + 0j)
 
 
+def test_pullback_refuses_the_quater_pole():
+    with pytest.raises(PunctureProximity):
+        pullback(quater_family(), -1 + 0j)
+
+
 def test_exact_contraction_fixes_zeta():
     assert half_plane_contraction(ZETA) == ZETA
     from fractions import Fraction

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import reduced_words
 from twistclass.labels import F14, F34, F512
+from twistclass.rabbit import MCG
 from twistclass.preperiod2 import (
     ADDING_MACHINES,
     MODULI,
@@ -196,3 +197,9 @@ def test_calibration_against_nucleus_oracle():
 def test_psi_bar_q_rejects_wrong_alphabet():
     with pytest.raises(ValueError):
         psi_bar_q(AL)
+
+
+def test_word_action_rejects_wrong_alphabet():
+    for w in (AL, MCG.gen("T")):
+        with pytest.raises(ValueError):
+            word_action(w)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, reduced_words
+from twistclass.labels import Diverged
 from twistclass.rabbit import (
     ADDING_MACHINE,
     MCG,
@@ -13,11 +14,14 @@ from twistclass.rabbit import (
     twisted_rabbit_recursion,
 )
 from twistclass.periodic2 import moduli_i_recursion, MODULI
+from twistclass.preperiod2 import TERMINAL_LABELS, moduli_q_recursion, psi_bar_q
 from twistclass.words import Endo
 from twistclass.wreath import (
     Recursion,
     WreathElem,
     act,
+    coordinate_step,
+    iterate_to_terminal,
     phi_apply,
     restrict,
     substitute_recursion,
@@ -177,3 +181,30 @@ def test_recursion_requires_total_table():
 def test_act_rejects_bad_vertex():
     with pytest.raises(ValueError):
         act(rabbit_recursion("R"), ADDING_MACHINE, "02")
+
+
+def test_coordinate_step_matches_the_parity_corrected_restrictions():
+    # a is the only active generator of both moduli recursions, so a word is
+    # active exactly when it has an odd number of a letters, and then its
+    # corrected coordinate is a times the coordinate of w a (i) or w a' (q)
+    rec_i, rec_q = moduli_i_recursion(), moduli_q_recursion()
+    for w in reduced_words(MODULI, 5):
+        odd = w.letter_count("a") % 2 == 1
+        want_i = A * restrict(rec_i, w * A, "1") if odd else restrict(rec_i, w, "1")
+        want_q = A * restrict(rec_q, w * ~A, "0") if odd else restrict(rec_q, w, "0")
+        assert coordinate_step(rec_i, 1, A, w) == want_i, str(w)
+        assert coordinate_step(rec_q, 0, A, w) == want_q, str(w)
+
+
+def test_iterate_to_terminal_stops_at_a_non_terminal_cycle():
+    # without its f_3/4 entry the table leaves the cycle b -> (ab)^-1 -> a^2
+    # non-terminal; the loop gives up at the first revisit, not the budget
+    visited = []
+
+    def step(w):
+        visited.append(w)
+        return psi_bar_q(w)
+
+    with pytest.raises(Diverged, match="cycle"):
+        iterate_to_terminal(step, TERMINAL_LABELS[:3], B, 64)
+    assert visited == [B, ~B * ~A, A * A]
