@@ -1,13 +1,15 @@
 """Command-line front door.
 
-Exit status: 0 on success, 2 on argument/word parse errors, 3 when a bounded
-search or iteration gave up (BoundExceeded / Diverged / branch ambiguity).
+Exit status: 0 on success, 2 on argument/word parse errors and unwritable
+output files, 3 when a bounded search or iteration gave up (BoundExceeded /
+Diverged / branch ambiguity).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -201,8 +203,12 @@ def _cmd_moduli(args) -> int:
         fam, w, max_lifts=args.max_lifts, tol=args.tol, trace=trace
     )
     if args.trace_file:
-        with open(args.trace_file, "w", encoding="utf-8") as fh:
-            fh.write(moduli.format_trace(trace) + "\n")
+        try:
+            with open(args.trace_file, "w", encoding="utf-8") as fh:
+                fh.write(moduli.format_trace(trace) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the trace file: {exc}", file=sys.stderr)
+            return 2
     payload = _label_payload(
         "moduli", str(w), label, iterations=len(trace), family=args.family
     )
@@ -212,6 +218,18 @@ def _cmd_moduli(args) -> int:
         f"{args.family} family, twist {w}: {label} ({len(trace)} lifts)",
     )
     return 0
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("moduli", help="numeric classification via pull-back")
     p.add_argument("family", choices=sorted(moduli.FAMILIES))
     p.add_argument("word")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_positive_float, default=1e-6,
                    help="fixed-point convergence tolerance")
     p.add_argument("--max-lifts", type=int, default=200)
     p.add_argument("--trace-file", help="write the lift trajectory here")

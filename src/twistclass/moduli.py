@@ -24,7 +24,7 @@ from .labels import (
     PunctureProximity,
     obstructed,
 )
-from .words import Alphabet, GenWord
+from .words import AB, MCG, Alphabet, GenWord
 
 _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
 _PUNCTURE_EPS = 1e-8
@@ -91,7 +91,7 @@ def rabbit_family() -> RationalFamily:
     airplane = _newton_refine(raw, df, -0.7549 + 0j)
     return RationalFamily(
         family_id="rabbit",
-        alphabet=Alphabet(("T", "S")),
+        alphabet=MCG,
         poles=(),
         formula=raw,
         preimages=pre,
@@ -121,7 +121,7 @@ def i_family() -> RationalFamily:
 
     return RationalFamily(
         family_id="i",
-        alphabet=Alphabet(("a", "b")),
+        alphabet=AB,
         poles=(),
         formula=raw,
         preimages=pre,
@@ -155,7 +155,7 @@ def quater_family() -> RationalFamily:
     p512 = _newton_refine(raw, df, 0.2956 + 0j)
     return RationalFamily(
         family_id="quater",
-        alphabet=Alphabet(("a", "b")),
+        alphabet=AB,
         poles=(-1 + 0j,),
         formula=raw,
         preimages=pre,

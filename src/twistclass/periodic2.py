@@ -14,7 +14,7 @@ from .labels import (
     Diverged,
     obstructed,
 )
-from .words import PI1, Alphabet, Endo, GenWord
+from .words import AB, PI1, Endo, GenWord
 from .wreath import Recursion, WreathElem, coordinate_step, substitute_recursion
 from .selfsim import _shift_order, is_kernel_element
 
@@ -114,7 +114,7 @@ def q_reduce(m: AffineMap) -> QElem:
 
 # --- alphabets and recursions -------------------------------------------------
 
-MODULI = Alphabet(("a", "b"))
+MODULI = AB
 
 _AL, _BE, _GA = PI1.gens()
 _A, _B = MODULI.gens()

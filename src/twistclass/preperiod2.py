@@ -4,7 +4,7 @@ known nuclei, the moduli iterator, and the classifier."""
 from __future__ import annotations
 
 from .labels import F14, F34, F512, ClassLabel
-from .words import PI1, Alphabet, Endo, GenWord, fold_actions
+from .words import AB, PI1, Endo, GenWord, fold_actions
 from .wreath import (
     Recursion,
     WreathElem,
@@ -13,7 +13,7 @@ from .wreath import (
     substitute_recursion,
 )
 
-MODULI = Alphabet(("a", "b"))
+MODULI = AB
 
 _AL, _BE, _GA = PI1.gens()
 _A, _B = MODULI.gens()

@@ -4,7 +4,7 @@ mapping-class iterator, and the twist-power classifiers."""
 from __future__ import annotations
 
 from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel
-from .words import PI1, Alphabet, Endo, GenWord, fold_actions
+from .words import MCG, PI1, Endo, GenWord, fold_actions
 from .wreath import (
     Recursion,
     WreathElem,
@@ -12,8 +12,6 @@ from .wreath import (
     iterate_to_terminal,
     twist_recursion,
 )
-
-MCG = Alphabet(("T", "S"))
 
 _AL, _BE, _GA = PI1.gens()
 _T, _S = MCG.gens()

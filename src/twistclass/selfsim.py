@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .labels import BoundExceeded
-from .words import Alphabet, GenWord
+from .words import Alphabet, GenWord, _core_span
 from .wreath import Recursion, WreathElem, phi_apply
 
 Node = tuple[GenWord, GenWord, bool]  # (child0, child1, active)
@@ -66,16 +66,10 @@ def restriction_closure(
 
 def _cyclic_core(w: GenWord) -> GenWord:
     """Cyclically reduced conjugate of ``w`` (matching end pairs stripped)."""
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][0] == letters[j - 1][0] and (
-        letters[i][1] == -letters[j - 1][1]
-    ):
-        i += 1
-        j -= 1
+    i, j = _core_span(w.letters)
     if i == 0:
         return w
-    return GenWord(w.alphabet, letters[i:j])
+    return GenWord._trusted(w.alphabet, w.letters[i:j])
 
 
 def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:

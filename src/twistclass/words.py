@@ -25,6 +25,31 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _core_span(letters: tuple[Letter, ...]) -> tuple[int, int]:
+    """Bounds ``i, j`` of the cyclically reduced core ``letters[i:j]`` of a
+    reduced word, which is ``letters[:i] + core + letters[j:]`` with the
+    outer parts inverse to each other."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i][0] == letters[j - 1][0] and (
+        letters[i][1] == -letters[j - 1][1]
+    ):
+        i += 1
+        j -= 1
+    return i, j
+
+
+def _check_letters(alphabet: "Alphabet", letters: tuple[Letter, ...]) -> None:
+    for name, sign in letters:
+        if name not in alphabet:
+            raise AlphabetMismatch(f"{name!r} is not a generator of {alphabet.names}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +-1, got {sign}")
+
+
+def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return tuple([(n, -s) for n, s in reversed(letters)])
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Immutable set of generator names; the unit of compatibility checks."""
@@ -42,18 +67,20 @@ class Alphabet:
         return name in self.names
 
     def identity(self) -> "GenWord":
-        return GenWord(self, ())
+        return GenWord._trusted(self, ())
 
     def gen(self, name: str, sign: int = 1) -> "GenWord":
-        if name not in self.names:
-            raise AlphabetMismatch(f"{name!r} is not a generator of {self.names}")
-        return GenWord(self, ((name, sign),))
+        letters = ((name, sign),)
+        _check_letters(self, letters)
+        return GenWord._trusted(self, letters)
 
     def gens(self) -> list["GenWord"]:
         return [self.gen(name) for name in self.names]
 
     def word(self, letters: Iterable[Letter]) -> "GenWord":
-        return GenWord(self, _reduce(letters))
+        reduced = _reduce(letters)
+        _check_letters(self, reduced)
+        return GenWord._trusted(self, reduced)
 
     def parse(self, text: str) -> "GenWord":
         return _parse(self, text)
@@ -68,16 +95,22 @@ class GenWord:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, sign in self.letters:
-            if name not in self.alphabet:
-                raise AlphabetMismatch(
-                    f"{name!r} is not a generator of {self.alphabet.names}"
-                )
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +-1, got {sign}")
+        _check_letters(self.alphabet, self.letters)
         if self.letters != _reduce(self.letters):
             raise ValueError(f"letters are not freely reduced: {self.letters}")
         object.__setattr__(self, "_hash", hash((self.alphabet.names, self.letters)))
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> "GenWord":
+        """Word from letters the caller knows are reduced and in ``alphabet``;
+        nothing is checked."""
+        w = object.__new__(cls)
+        w.__dict__.update(
+            alphabet=alphabet,
+            letters=letters,
+            _hash=hash((alphabet.names, letters)),
+        )
+        return w
 
     def __hash__(self) -> int:
         return self._hash
@@ -93,23 +126,40 @@ class GenWord:
         return not self.letters
 
     def _check(self, other: "GenWord") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(
                 f"mixed alphabets: {self.alphabet.names} vs {other.alphabet.names}"
             )
 
     def __mul__(self, other: "GenWord") -> "GenWord":
         self._check(other)
-        return GenWord(self.alphabet, _reduce(self.letters + other.letters))
+        left, right = self.letters, other.letters
+        if not left:
+            return other
+        if not right:
+            return self
+        # both operands are reduced, so letters cancel only at the seam
+        i, j, n = len(left), 0, len(right)
+        while i and j < n and left[i - 1][0] == right[j][0] and (
+            left[i - 1][1] == -right[j][1]
+        ):
+            i -= 1
+            j += 1
+        return GenWord._trusted(self.alphabet, left[:i] + right[j:])
 
     def __invert__(self) -> "GenWord":
-        return GenWord(
-            self.alphabet, tuple((n, -s) for n, s in reversed(self.letters))
-        )
+        return GenWord._trusted(self.alphabet, _inverse(self.letters))
 
     def __pow__(self, n: int) -> "GenWord":
-        base = self if n >= 0 else ~self
-        return GenWord(self.alphabet, _reduce(base.letters * abs(n)))
+        # w = u c u^-1 with c cyclically reduced, so w^n = u c^n u^-1 needs
+        # no further reduction
+        letters = self.letters if n >= 0 else _inverse(self.letters)
+        if n == 0 or not letters:
+            return GenWord._trusted(self.alphabet, ())
+        i, j = _core_span(letters)
+        return GenWord._trusted(
+            self.alphabet, letters[:i] + letters[i:j] * abs(n) + letters[j:]
+        )
 
     def conjugate(self, h: "GenWord") -> "GenWord":
         """Return ``h^-1 * self * h`` reduced."""
@@ -164,6 +214,12 @@ class Endo:
         for _, img in self.images:
             if img.alphabet != self.alphabet:
                 raise AlphabetMismatch("image words must stay in the same alphabet")
+        # letter -> image letters, for __call__
+        by_letter: dict[Letter, tuple[Letter, ...]] = {}
+        for name, img in self.images:
+            by_letter[(name, 1)] = img.letters
+            by_letter[(name, -1)] = _inverse(img.letters)
+        object.__setattr__(self, "_by_letter", by_letter)
 
     @classmethod
     def make(cls, alphabet: Alphabet, images: dict[str, GenWord]) -> "Endo":
@@ -182,18 +238,15 @@ class Endo:
     def __call__(self, w: GenWord) -> GenWord:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word is over a different alphabet")
+        table = self._by_letter
         out: list[Letter] = []
-        for name, sign in w.letters:
-            img = self.image(name)
-            seq = img.letters if sign > 0 else tuple(
-                (n, -s) for n, s in reversed(img.letters)
-            )
-            for letter in seq:
-                if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+        for letter in w.letters:
+            for x in table[letter]:
+                if out and out[-1][0] == x[0] and out[-1][1] == -x[1]:
                     out.pop()
                 else:
-                    out.append(letter)
-        return GenWord(self.alphabet, tuple(out))
+                    out.append(x)
+        return GenWord._trusted(self.alphabet, tuple(out))
 
     def then(self, other: "Endo") -> "Endo":
         """Composite applying ``self`` first, then ``other``."""
@@ -233,6 +286,12 @@ def fold_actions(source: Alphabet, actions: dict[Letter, Endo], w: GenWord) -> E
 #: the fundamental group of the plane minus the three post-critical points,
 #: shared by every family
 PI1 = Alphabet(("alpha", "beta", "gamma"))
+
+#: the mapping-class generators of the period-3 family (Dehn twists T, S)
+MCG = Alphabet(("T", "S"))
+
+#: the moduli generators a, b of the two preperiodic families
+AB = Alphabet(("a", "b"))
 
 
 # --- word grammar -----------------------------------------------------------
@@ -290,12 +349,14 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def word(self) -> GenWord:
-        out = self.alphabet.identity()
+        # one reduction over all factors, not a product per factor, keeps
+        # long words linear
+        letters: list[Letter] = []
         while True:
             tok = self.peek()
             if tok is None or tok[0] == ")":
-                return out
-            out = out * self.factor()
+                return GenWord._trusted(self.alphabet, _reduce(letters))
+            letters += self.factor().letters
 
     def factor(self) -> GenWord:
         tok = self.peek()

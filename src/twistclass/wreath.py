@@ -8,7 +8,6 @@ letter 0 is always the first coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .labels import AlphabetMismatch, ClassLabel, Diverged
@@ -81,6 +80,15 @@ class Recursion:
         for _, elem in self.table:
             if elem.c0.alphabet != self.alphabet:
                 raise AlphabetMismatch("table entries over a different alphabet")
+        # letter -> (coordinate letters of its image, activity bit), with
+        # each coordinate paired with the letters that cancel it
+        by_letter: dict[Letter, tuple[tuple[_Coord, _Coord], int]] = {}
+        for name, elem in self.table:
+            for sign, img in ((1, elem), (-1, ~elem)):
+                by_letter[(name, sign)] = (
+                    (_coord(img.c0), _coord(img.c1)), int(img.active)
+                )
+        object.__setattr__(self, "_by_letter", by_letter)
         if self.adding_machine is not None:
             img = phi_apply(self, self.adding_machine)
             want = WreathElem(
@@ -111,68 +119,78 @@ class Recursion:
                 return elem
         raise KeyError(f"{name!r} absent from recursion table")
 
-    def _letter_table(self) -> dict[Letter, tuple[tuple, tuple, bool]]:
-        return _letter_table(self)
+
+#: letters of a reduced coordinate word, and the inverse of each letter
+_Coord = tuple[tuple[Letter, ...], tuple[Letter, ...]]
 
 
-@lru_cache(maxsize=128)
-def _letter_table(rec: "Recursion") -> dict[Letter, tuple[tuple, tuple, bool]]:
-    # raw-letter form of each generator image and its inverse, for the
-    # phi_apply hot loop
-    out: dict[Letter, tuple[tuple, tuple, bool]] = {}
-    for name, elem in rec.table:
-        out[(name, 1)] = (elem.c0.letters, elem.c1.letters, elem.active)
-        inv = ~elem
-        out[(name, -1)] = (inv.c0.letters, inv.c1.letters, inv.active)
-    return out
+def _coord(w: GenWord) -> _Coord:
+    return w.letters, tuple([(n, -s) for n, s in w.letters])
 
 
-def _append_reduced(acc: list, letters: tuple) -> None:
+def _walk(
+    table: dict[Letter, tuple[tuple[_Coord, _Coord], int]],
+    letters: Iterable[Letter],
+    x: int,
+) -> tuple[list[Letter], int]:
+    """Reduced letters of coordinate ``x`` of the image of a reduced word,
+    and the activity of the image.
+
+    Coordinate ``x`` of a product collects coordinate ``x ^ active`` of each
+    factor, where ``active`` is the activity of the factors before it; the
+    other coordinate is never built.  Each factor is reduced, so it cancels
+    against the collected letters only at the seam.
+    """
+    out: list[Letter] = []
+    active = 0
     for letter in letters:
-        if acc and acc[-1][0] == letter[0] and acc[-1][1] == -letter[1]:
-            acc.pop()
+        coords, bit = table[letter]
+        seq, cancel = coords[x ^ active]
+        active ^= bit
+        if out and seq and out[-1] == cancel[0]:
+            out.pop()
+            k, m = 1, len(seq)
+            while k < m and out and out[-1] == cancel[k]:
+                out.pop()
+                k += 1
+            out += seq[k:]
         else:
-            acc.append(letter)
+            out += seq
+    return out, active
 
 
 def phi_apply(rec: Recursion, w: GenWord) -> WreathElem:
     """Image of ``w`` under the homomorphic extension of the table."""
     if w.alphabet != rec.alphabet:
         raise AlphabetMismatch("word is over a different alphabet")
-    table = rec._letter_table()
-    c0: list = []
-    c1: list = []
-    active = False
-    for letter in w.letters:
-        h0, h1, ha = table[letter]
-        if active:
-            _append_reduced(c0, h1)
-            _append_reduced(c1, h0)
-        else:
-            _append_reduced(c0, h0)
-            _append_reduced(c1, h1)
-        active ^= ha
+    c0, active = _walk(rec._by_letter, w.letters, 0)
+    c1, _ = _walk(rec._by_letter, w.letters, 1)
     return WreathElem(
-        GenWord(rec.alphabet, tuple(c0)), GenWord(rec.alphabet, tuple(c1)), active
+        GenWord._trusted(rec.alphabet, tuple(c0)),
+        GenWord._trusted(rec.alphabet, tuple(c1)),
+        bool(active),
     )
 
 
 def restrict(rec: Recursion, w: GenWord, v: str) -> GenWord:
     """Restriction w|_v at the vertex ``v`` (a word over '0'/'1')."""
-    cur = w
+    if w.alphabet != rec.alphabet:
+        raise AlphabetMismatch("word is over a different alphabet")
+    cur = w.letters
     for ch in v:
-        cur = phi_apply(rec, cur).coord(_bit(ch))
-    return cur
+        cur, _ = _walk(rec._by_letter, cur, _bit(ch))
+    return GenWord._trusted(rec.alphabet, tuple(cur))
 
 
 def coordinate_step(rec: Recursion, x: int, correction: GenWord, w: GenWord) -> GenWord:
     """One step of a moduli iterator: ``w|_x``, the letter-``x`` coordinate
     of the image of ``w``, left-multiplied by ``correction`` when ``w`` is
     active, i.e. outside the index-2 domain of the coordinate map."""
-    elem = phi_apply(rec, w)
-    if elem.active:
-        return correction * elem.coord(x)
-    return elem.coord(x)
+    if w.alphabet != rec.alphabet:
+        raise AlphabetMismatch("word is over a different alphabet")
+    letters, active = _walk(rec._by_letter, w.letters, x)
+    coord = GenWord._trusted(rec.alphabet, tuple(letters))
+    return correction * coord if active else coord
 
 
 def iterate_to_terminal(
@@ -204,13 +222,14 @@ def iterate_to_terminal(
 
 def act(rec: Recursion, w: GenWord, v: str) -> str:
     """Image of the vertex ``v`` under the tree automorphism defined by ``w``."""
+    if w.alphabet != rec.alphabet:
+        raise AlphabetMismatch("word is over a different alphabet")
     out = []
-    cur = w
+    cur = w.letters
     for ch in v:
         x = _bit(ch)
-        elem = phi_apply(rec, cur)
-        out.append(str(1 - x if elem.active else x))
-        cur = elem.coord(x)
+        cur, active = _walk(rec._by_letter, cur, x)
+        out.append(str(x ^ active))
     return "".join(out)
 
 

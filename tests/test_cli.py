@@ -112,6 +112,23 @@ def test_moduli_trace_file(capsys, tmp_path):
     assert lines and lines[0].split()[0] == "0"
 
 
+def test_moduli_unwritable_trace_file(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "trace.txt"
+    code, out, err = run(capsys, "moduli", "rabbit", "T", "--trace-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
+def test_moduli_rejects_a_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "moduli", "rabbit", "T", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "classify-i", "xyz")
     assert code == 2
