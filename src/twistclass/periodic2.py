@@ -16,7 +16,7 @@ from .labels import (
 )
 from .words import AB, PI1, Endo, GenWord
 from .wreath import Recursion, WreathElem, coordinate_step, substitute_recursion
-from .selfsim import _shift_order, is_kernel_element
+from .selfsim import _KernelTest, _shift_order, is_kernel_element
 
 # --- exact Gaussian-integer arithmetic ---------------------------------------
 
@@ -183,15 +183,31 @@ _PI_IMAGES = {
 }
 
 
+def _pi_step(k: int, m: AffineMap) -> tuple[int, int, int]:
+    """Composing a product of rotation ``k`` on the right with ``m`` adds
+    i^k times the translation of ``m`` and turns ``k`` into ``k + m.k``:
+    the added translation's parts and the new rotation."""
+    c = m.c.times_i_power(k)
+    return c.re, c.im, (k + m.k) & 3
+
+
+#: rotation so far -> letter -> :func:`_pi_step`
+_PI_STEPS = [
+    {letter: _pi_step(k, m) for letter, m in _PI_IMAGES.items()} for k in range(4)
+]
+
+
 def affine_image(w: GenWord) -> AffineMap:
     """Image of a twist word in the affine group, letters composed so that
     the rightmost letter acts first."""
     if w.alphabet != MODULI:
         raise ValueError("affine_image expects a word over the a,b alphabet")
-    out = AffineMap.identity()
+    k = re = im = 0
     for letter in w.letters:
-        out = out.compose(_PI_IMAGES[letter])
-    return out
+        dre, dim, k = _PI_STEPS[k][letter]
+        re += dre
+        im += dim
+    return AffineMap(k, GaussInt(re, im))
 
 
 def q_image(w: GenWord) -> QElem:
@@ -270,8 +286,11 @@ def obstructed_index(
     the n-th twist power of b.
 
     The candidate scan is filtered through the exact affine group, which
-    pins the residue of n mod 4.
+    pins the residue of n mod 4.  The kernel tests of one call share their
+    work (``selfsim._KernelTest``): the closures of the words ``cur b^-n``
+    overlap heavily.
     """
+    in_kernel = _KernelTest(_MODULI_REC, bound)
     cur = w
     for _ in range(iter_max):
         exp = _pure_b_exponent(cur)
@@ -280,7 +299,7 @@ def obstructed_index(
                 f"orbit landed on a b-power of exponent {exp}, beyond k_max={k_max}"
             )
         for n in _candidate_indices(cur, k_max):
-            if gx_equal(cur, _B ** n, bound):
+            if in_kernel(cur * ~_B ** n):
                 return n
         cur = phi_bar(cur)
     raise Diverged(f"no b-power within {iter_max} iterator steps")

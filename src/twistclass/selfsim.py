@@ -112,28 +112,77 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     may fix every vertex yet keep non-trivial restriction words forever, and
     such an element is *not* a kernel element.
     """
-    succ: dict[GenWord, tuple[GenWord, GenWord]] = {}
-    queue = deque([_cyclic_core(w)])
-    while queue:
-        cur = queue.popleft()
-        if cur in succ:
-            continue
-        if len(succ) >= bound:
-            raise BoundExceeded(
-                f"restriction closure grew past {bound} states while "
-                f"deciding kernel membership of {cur}"
-            )
-        elem = phi_apply(rec, cur)
-        if elem.active:
+    return _KernelTest(rec, bound)(w)
+
+
+class _KernelTest:
+    """Kernel membership (:func:`is_kernel_element`) of many words of one
+    recursion: every state is expanded once, and the search stops at states
+    already decided.
+
+    A state in the kernel has its whole closure in the kernel, so a search
+    may treat it as a leaf; a root reaching a state outside the kernel is
+    outside it too.  Only a search that would have blown ``bound`` can
+    answer differently from fresh :func:`is_kernel_element` calls: it may
+    now answer instead of raising.
+    """
+
+    def __init__(self, rec: Recursion, bound: int = 10000):
+        self.rec = rec
+        self.bound = bound
+        #: state -> cyclic cores of its two restrictions, None if active
+        self._children: dict[GenWord, tuple[GenWord, GenWord] | None] = {}
+        #: state -> whether it lies in the kernel
+        self._member: dict[GenWord, bool] = {}
+
+    def _expand(self, w: GenWord) -> tuple[GenWord, GenWord] | None:
+        if w in self._children:
+            return self._children[w]
+        elem = phi_apply(self.rec, w)
+        children = None if elem.active else (
+            _cyclic_core(elem.c0), _cyclic_core(elem.c1)
+        )
+        self._children[w] = children
+        return children
+
+    def __call__(self, w: GenWord) -> bool:
+        member = self._member
+        root = _cyclic_core(w)
+        succ: dict[GenWord, tuple[GenWord, ...]] = {}
+        queue = deque([root])
+        while queue:
+            cur = queue.popleft()
+            if cur in succ:
+                continue
+            known = member.get(cur)
+            if known is False:
+                member[root] = False
+                return False
+            if len(succ) >= self.bound:
+                raise BoundExceeded(
+                    f"restriction closure grew past {self.bound} states while "
+                    f"deciding kernel membership of {cur}"
+                )
+            if known:
+                succ[cur] = ()
+                continue
+            children = self._expand(cur)
+            if children is None:
+                member[cur] = member[root] = False
+                return False
+            succ[cur] = children
+            for child in children:
+                if child not in succ:
+                    queue.append(child)
+        # every deep enough restriction must be literally trivial: no cycle
+        # through a non-identity word may be reachable
+        escaping = [g for g in _cyclic_nodes(succ) if not g.is_identity]
+        if escaping:
+            member.update(dict.fromkeys(escaping, False))
+            member[root] = False
             return False
-        children = (_cyclic_core(elem.c0), _cyclic_core(elem.c1))
-        succ[cur] = children
-        for child in children:
-            if child not in succ:
-                queue.append(child)
-    # every deep enough restriction must be literally trivial: no cycle
-    # through a non-identity word may be reachable
-    return all(g.is_identity for g in _cyclic_nodes(succ))
+        member.update(dict.fromkeys(succ, True))
+        return True
 
 
 def action_equal(
@@ -245,7 +294,7 @@ def _eventual_range(
     return out
 
 
-def _cyclic_nodes(succ: dict[GenWord, tuple[GenWord, GenWord]]) -> set[GenWord]:
+def _cyclic_nodes(succ: dict[GenWord, tuple[GenWord, ...]]) -> set[GenWord]:
     # Tarjan SCC, iterative; a node is cyclic if its SCC has size > 1 or it
     # carries a self-loop.
     index: dict[GenWord, int] = {}
@@ -268,7 +317,7 @@ def _cyclic_nodes(succ: dict[GenWord, tuple[GenWord, GenWord]]) -> set[GenWord]:
                 on_stack.add(node)
             children = succ[node]
             advanced = False
-            for k in range(ei, 2):
+            for k in range(ei, len(children)):
                 child = children[k]
                 if child not in index:
                     work.append((node, k + 1))

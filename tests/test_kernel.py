@@ -3,7 +3,10 @@
 Products, inverses, powers, endomorphism images and the one-coordinate
 iterator walk build their results without re-validating them.  Each is
 checked here against a plain reduce-everything or wreath-product reference,
-and every result must pass the validating constructor unchanged.
+and every result must pass the validating constructor unchanged.  Affine
+images of twist words and the shared kernel tests of the obstructed-index
+scan are checked against the letter-by-letter composite and fresh
+word-problem runs.
 """
 
 from functools import reduce
@@ -13,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistclass import periodic2, preperiod2, rabbit
-from twistclass.labels import AlphabetMismatch
-from twistclass.selfsim import _cyclic_core
+from twistclass.labels import AlphabetMismatch, BoundExceeded, Diverged
+from twistclass.selfsim import _cyclic_core, _KernelTest, is_kernel_element
 from twistclass.words import AB, MCG, PI1, Endo, GenWord, _reduce
 from twistclass.wreath import WreathElem, act, coordinate_step, phi_apply, restrict
 
@@ -230,3 +233,76 @@ def test_family_alphabets_are_shared():
     assert moduli.rabbit_family().alphabet is MCG
     assert moduli.i_family().alphabet is AB
     assert moduli.quater_family().alphabet is AB
+
+
+@given(words(AB, 40))
+def test_affine_image_is_the_composite_of_letter_images(w):
+    images = [periodic2._PI_IMAGES[letter] for letter in w.letters]
+    want = reduce(periodic2.AffineMap.compose, images, periodic2.AffineMap.identity())
+    assert periodic2.affine_image(w) == want
+
+
+A, B = AB.gens()
+KERNEL_SEEDS = [AB.identity(), A * A, (A * B) ** 4, B ** 4, A * B]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(
+        words(AB, 8), st.sampled_from(KERNEL_SEEDS), words(AB, 4), st.integers(-6, 6)
+    ),
+    min_size=1, max_size=12,
+))
+def test_shared_kernel_test_agrees_with_fresh_runs(cases):
+    rec = RECURSIONS["moduli-i"]
+    shared = _KernelTest(rec)
+    for u, k, v, m in cases:
+        w = u * k * ~u * v * B ** m
+        assert shared(w) == is_kernel_element(rec, w)
+    # every verdict the shared test keeps for later words is right
+    for state, member in shared._member.items():
+        assert member == is_kernel_element(rec, state)
+
+
+def test_shared_kernel_test_reuses_decided_states():
+    # the first word escapes the kernel through the loop at b^4 below its
+    # root, the second reaches b^4; the third leaves a' a' inside the
+    # kernel, and the fourth reaches a' a'
+    rec = RECURSIONS["moduli-i"]
+    shared = _KernelTest(rec)
+    cases = [
+        AB.parse("a b^4 a"), AB.parse("b^2 a^-2 b^2"), (A * B) ** 4, A * A * (A * B) ** 4,
+    ]
+    assert [shared(w) for w in cases] == [False, False, True, True]
+    assert shared._member[B ** 4] is False
+    assert shared._member[A ** -2] is True
+    for state, member in shared._member.items():
+        assert member == is_kernel_element(rec, state)
+
+
+def obstructed_index_reference(w, k_max, iter_max):
+    """The obstructed-index scan with a fresh word problem per candidate."""
+    cur = w
+    for _ in range(iter_max):
+        exp = periodic2._pure_b_exponent(cur)
+        if exp is not None and abs(exp) > k_max:
+            raise BoundExceeded(exp)
+        for n in periodic2._candidate_indices(cur, k_max):
+            if periodic2.gx_equal(cur, B ** n):
+                return n
+        cur = periodic2.phi_bar(cur)
+    raise Diverged(iter_max)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (BoundExceeded, Diverged) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words(AB, 24), st.integers(4, 24))
+def test_obstructed_index_matches_the_unshared_scan(w, k_max):
+    want = outcome(obstructed_index_reference, w, k_max, 64)
+    assert outcome(periodic2.obstructed_index, w, k_max, 64) == want
