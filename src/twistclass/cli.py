@@ -22,7 +22,7 @@ from .labels import (
     PunctureProximity,
     WordParseError,
 )
-from .words import Alphabet, GenWord
+from .words import GenWord
 from .wreath import Recursion, iterate_to_terminal
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
@@ -41,10 +41,6 @@ RECURSIONS: dict[str, tuple[Callable[[], Recursion], bool]] = {
     "q512": (lambda: preperiod2.quater_recursion("F512"), True),
     "moduli-q": (preperiod2.moduli_q_recursion, False),
 }
-
-
-def _parse_word(alphabet: Alphabet, text: str) -> GenWord:
-    return alphabet.parse(text)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -79,7 +75,7 @@ def _cmd_classify_rabbit(args) -> int:
             file=sys.stderr,
         )
         return 2
-    w = _parse_word(rabbit.MCG, args.word)
+    w = rabbit.MCG.parse(args.word)
     return _emit_orbit(args, w, rabbit.psi_bar, rabbit.TERMINAL_LABELS)
 
 
@@ -95,7 +91,7 @@ def _emit_orbit(args, w: GenWord, step, terminals) -> int:
 
 
 def _cmd_classify_i(args) -> int:
-    w = _parse_word(periodic2.MODULI, args.word)
+    w = periodic2.MODULI.parse(args.word)
     label = periodic2.classify_full(
         w, k_max=args.k_max, iter_max=args.max_iters, bound=args.bound
     )
@@ -107,7 +103,7 @@ def _cmd_classify_i(args) -> int:
 
 
 def _cmd_classify_quater(args) -> int:
-    w = _parse_word(preperiod2.MODULI, args.word)
+    w = preperiod2.MODULI.parse(args.word)
     return _emit_orbit(args, w, preperiod2.psi_bar_q, preperiod2.TERMINAL_LABELS)
 
 
@@ -161,43 +157,23 @@ def _cmd_distinct(args) -> int:
 
 def _cmd_trivial(args) -> int:
     rec = RECURSIONS[args.name][0]()
-    w = _parse_word(rec.alphabet, args.word)
-    trivial = selfsim.is_trivial_action(rec, w, args.bound)
+    w = rec.alphabet.parse(args.word)
+    witness = selfsim._active_restriction(rec, w, args.bound)
     payload = {
         "command": "trivial",
         "input": str(w),
-        "trivial": trivial,
+        "trivial": witness is None,
     }
-    if not trivial:
-        payload["witness"] = str(_active_witness(rec, w, args.bound))
-    verdict = "trivial" if trivial else "non-trivial"
+    if witness is not None:
+        payload["witness"] = str(witness)
+    verdict = "trivial" if witness is None else "non-trivial"
     _emit(args, payload, f"{w} acts {verdict}ly on the tree")
     return 0
 
 
-def _active_witness(rec: Recursion, w: GenWord, bound: int) -> GenWord:
-    from collections import deque
-
-    from .wreath import phi_apply
-
-    seen, queue = set(), deque([w])
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        elem = phi_apply(rec, cur)
-        if elem.active:
-            return cur
-        queue.extend(c for c in (elem.c0, elem.c1) if c not in seen)
-        if len(seen) > bound:
-            break
-    return w
-
-
 def _cmd_moduli(args) -> int:
     fam = moduli.FAMILIES[args.family]()
-    w = _parse_word(fam.alphabet, args.word)
+    w = fam.alphabet.parse(args.word)
     trace: list[tuple[int, complex]] = []
     label = moduli.classify_numeric(
         fam, w, max_lifts=args.max_lifts, tol=args.tol, trace=trace

@@ -2,13 +2,17 @@
 Moore diagrams, automaton comparison, homotopy shifts, and reconstruction of
 a recursion from a virtual endomorphism.
 
-All searches are bounded; blowing the bound raises BoundExceeded, which is
-evidence (not proof) that the recursion is not contracting on the given seeds.
+Every closure search runs through one bounded breadth-first walk, _closure,
+with one bound rule: a search may visit ``bound`` distinct states, and the
+next distinct state raises BoundExceeded.  A blown bound is evidence (not
+proof) that the recursion is not contracting on the given seeds.
 
 Two word problems live here and they differ: triviality of the tree action
 (no active restriction anywhere) and membership in the kernel of the
 iterated recursion (all deep restrictions become the empty word).  The
-second is strictly stronger; see is_kernel_element.
+second is strictly stronger; see is_kernel_element.  Both walk cyclically
+reduced conjugates of restrictions; the active state that ends a
+triviality walk is the witness of a non-trivial action.
 """
 
 from __future__ import annotations
@@ -22,46 +26,70 @@ from .labels import BoundExceeded
 from .words import Alphabet, GenWord, _core_span
 from .wreath import Recursion, WreathElem, phi_apply
 
-Node = tuple[GenWord, GenWord, bool]  # (child0, child1, active)
-
 
 def _sorted_words(words: Iterable[GenWord]) -> list[GenWord]:
     return sorted(words, key=GenWord.sort_key)
 
 
-def closure_graph(
-    rec: Recursion, seeds: Iterable[GenWord], bound: int
-) -> dict[GenWord, Node]:
-    """Breadth-first restriction closure with transition data.
+def _closure(
+    roots: Iterable[GenWord],
+    children: Callable[[GenWord], tuple[GenWord, ...] | None],
+    bound: int,
+) -> tuple[dict[GenWord, tuple[GenWord, ...]], GenWord | None]:
+    """Breadth-first closure of ``roots`` under ``children``.
 
-    Deterministic order: seeds sorted, then letter 0 before letter 1.
+    Returns the successor graph of the states visited and the state at
+    which ``children`` stopped the walk by returning None (None when the
+    walk finished, and then every child is a key of the graph).  The
+    (bound+1)-th distinct state raises BoundExceeded before ``children``
+    sees it.
     """
-    graph: dict[GenWord, Node] = {}
-    queue = deque(_sorted_words(set(seeds)))
-    pending = set(queue)
+    graph: dict[GenWord, tuple[GenWord, ...]] = {}
+    queue = deque(roots)
     while queue:
         w = queue.popleft()
-        pending.discard(w)
         if w in graph:
             continue
-        elem = phi_apply(rec, w)
-        graph[w] = (elem.c0, elem.c1, elem.active)
-        if len(graph) > bound:
-            raise BoundExceeded(
-                f"restriction closure grew past {bound} states"
-            )
-        for child in (elem.c0, elem.c1):
-            if child not in graph and child not in pending:
+        if len(graph) >= bound:
+            raise BoundExceeded(f"restriction closure grew past {bound} states")
+        kids = children(w)
+        if kids is None:
+            return graph, w
+        graph[w] = kids
+        for child in kids:
+            if child not in graph:
                 queue.append(child)
-                pending.add(child)
-    return graph
+    return graph, None
+
+
+def _peel(graph: dict[GenWord, tuple[GenWord, ...]]) -> set[GenWord]:
+    """Nodes of a closed graph reachable from a directed cycle (self-loops
+    included): repeatedly drop nodes that have no predecessors."""
+    indegree = dict.fromkeys(graph, 0)
+    for kids in graph.values():
+        for child in kids:
+            indegree[child] += 1
+    sources = [g for g, n in indegree.items() if n == 0]
+    while sources:
+        g = sources.pop()
+        del indegree[g]
+        for child in graph[g]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                sources.append(child)
+    return set(indegree)
 
 
 def restriction_closure(
     rec: Recursion, seeds: Iterable[GenWord], bound: int = 10000
 ) -> set[GenWord]:
     """Smallest set containing ``seeds`` and closed under restriction."""
-    return set(closure_graph(rec, seeds, bound))
+
+    def children(w: GenWord) -> tuple[GenWord, GenWord]:
+        elem = phi_apply(rec, w)
+        return elem.c0, elem.c1
+
+    return set(_closure(seeds, children, bound)[0])
 
 
 def _cyclic_core(w: GenWord) -> GenWord:
@@ -72,35 +100,32 @@ def _cyclic_core(w: GenWord) -> GenWord:
     return GenWord._trusted(w.alphabet, w.letters[i:j])
 
 
+def _core_children(rec: Recursion, w: GenWord) -> tuple[GenWord, GenWord] | None:
+    """Cyclic cores of the two restrictions of ``w``; None if ``w`` is active."""
+    elem = phi_apply(rec, w)
+    if elem.active:
+        return None
+    return _cyclic_core(elem.c0), _cyclic_core(elem.c1)
+
+
+def _active_restriction(rec: Recursion, w: GenWord, bound: int) -> GenWord | None:
+    """An active, cyclically reduced conjugate of a restriction of ``w``, or
+    None when ``w`` acts trivially (see :func:`is_trivial_action`)."""
+    return _closure(
+        [_cyclic_core(w)], lambda g: _core_children(rec, g), bound
+    )[1]
+
+
 def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     """True iff ``w`` acts trivially on the whole binary tree.
 
     The action is trivial exactly when no element of the restriction closure
     is active.  Triviality is a conjugacy invariant, so the search walks
     cyclically reduced conjugates (which keeps it finite for recursions whose
-    tables conjugate rather than shorten), and it short-circuits on the first
-    active restriction.
+    tables conjugate rather than shorten), and it stops at the first active
+    state.
     """
-    seen: set[GenWord] = set()
-    queue = deque([_cyclic_core(w)])
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        if len(seen) > bound:
-            raise BoundExceeded(
-                f"restriction closure grew past {bound} states while "
-                f"deciding triviality of {cur}"
-            )
-        elem = phi_apply(rec, cur)
-        if elem.active:
-            return False
-        for child in (elem.c0, elem.c1):
-            child = _cyclic_core(child)
-            if child not in seen:
-                queue.append(child)
-    return True
+    return _active_restriction(rec, w, bound) is None
 
 
 def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -120,9 +145,11 @@ class _KernelTest:
     recursion: every state is expanded once, and the search stops at states
     already decided.
 
-    A state in the kernel has its whole closure in the kernel, so a search
-    may treat it as a leaf; a root reaching a state outside the kernel is
-    outside it too.  Only a search that would have blown ``bound`` can
+    The identity and states known to be in the kernel are leaves, since
+    their whole closures lie in the kernel; a state known to be outside
+    stops the search, as an active one does.  In a finished search a state
+    is outside the kernel exactly when it reaches a cycle, so every state
+    gets its verdict.  Only a search that would have blown ``bound`` can
     answer differently from fresh :func:`is_kernel_element` calls: it may
     now answer instead of raising.
     """
@@ -133,56 +160,31 @@ class _KernelTest:
         #: state -> cyclic cores of its two restrictions, None if active
         self._children: dict[GenWord, tuple[GenWord, GenWord] | None] = {}
         #: state -> whether it lies in the kernel
-        self._member: dict[GenWord, bool] = {}
+        self._member: dict[GenWord, bool] = {rec.alphabet.identity(): True}
 
-    def _expand(self, w: GenWord) -> tuple[GenWord, GenWord] | None:
-        if w in self._children:
-            return self._children[w]
-        elem = phi_apply(self.rec, w)
-        children = None if elem.active else (
-            _cyclic_core(elem.c0), _cyclic_core(elem.c1)
-        )
-        self._children[w] = children
-        return children
+    def _successors(self, w: GenWord) -> tuple[GenWord, ...] | None:
+        known = self._member.get(w)
+        if known is not None:
+            return () if known else None
+        if w not in self._children:
+            self._children[w] = _core_children(self.rec, w)
+        return self._children[w]
 
     def __call__(self, w: GenWord) -> bool:
         member = self._member
         root = _cyclic_core(w)
-        succ: dict[GenWord, tuple[GenWord, ...]] = {}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            if cur in succ:
-                continue
-            known = member.get(cur)
-            if known is False:
-                member[root] = False
-                return False
-            if len(succ) >= self.bound:
-                raise BoundExceeded(
-                    f"restriction closure grew past {self.bound} states while "
-                    f"deciding kernel membership of {cur}"
-                )
-            if known:
-                succ[cur] = ()
-                continue
-            children = self._expand(cur)
-            if children is None:
-                member[cur] = member[root] = False
-                return False
-            succ[cur] = children
-            for child in children:
-                if child not in succ:
-                    queue.append(child)
-        # every deep enough restriction must be literally trivial: no cycle
-        # through a non-identity word may be reachable
-        escaping = [g for g in _cyclic_nodes(succ) if not g.is_identity]
-        if escaping:
-            member.update(dict.fromkeys(escaping, False))
-            member[root] = False
+        succ, stop = _closure([root], self._successors, self.bound)
+        if stop is not None:
+            member[stop] = member[root] = False
             return False
-        member.update(dict.fromkeys(succ, True))
-        return True
+        pred: dict[GenWord, list[GenWord]] = {g: [] for g in succ}
+        for g, kids in succ.items():
+            for child in kids:
+                pred[child].append(g)
+        escaping = _peel(pred)
+        for g in succ:
+            member[g] = g not in escaping
+        return member[root]
 
 
 def action_equal(
@@ -201,10 +203,9 @@ class _ActionIndex:
 
     PORTRAIT_DEPTH = 4
 
-    def __init__(self, rec: Recursion, bound: int, identify: bool = True):
+    def __init__(self, rec: Recursion, bound: int):
         self.rec = rec
         self.bound = bound
-        self.identify = identify
         self.rep_of: dict[GenWord, GenWord] = {}
         self.by_portrait: dict[tuple, list[GenWord]] = {}
 
@@ -225,9 +226,6 @@ class _ActionIndex:
         hit = self.rep_of.get(w)
         if hit is not None:
             return hit
-        if not self.identify:
-            self.rep_of[w] = w
-            return w
         key = self._portrait(w)
         for cand in self.by_portrait.get(key, []):
             if is_trivial_action(self.rec, w * ~cand, self.bound):
@@ -236,112 +234,6 @@ class _ActionIndex:
         self.rep_of[w] = w
         self.by_portrait.setdefault(key, []).append(w)
         return w
-
-
-def _class_closure_graph(
-    index: _ActionIndex, seed: GenWord, bound: int, budget: list[int]
-) -> dict[GenWord, tuple[GenWord, GenWord]]:
-    """Restriction closure over action classes, as a successor graph."""
-    rec = index.rec
-    graph: dict[GenWord, tuple[GenWord, GenWord]] = {}
-    queue = deque([index.canon(seed)])
-    while queue:
-        w = queue.popleft()
-        if w in graph:
-            continue
-        budget[0] -= 1
-        if len(graph) > bound or budget[0] < 0:
-            raise BoundExceeded(
-                f"restriction closure grew past its budget at {len(graph)} states"
-            )
-        elem = phi_apply(rec, w)
-        children = (index.canon(elem.c0), index.canon(elem.c1))
-        graph[w] = children
-        for child in children:
-            if child not in graph:
-                queue.append(child)
-    return graph
-
-
-def _eventual_range(
-    index: _ActionIndex,
-    w: GenWord,
-    bound: int,
-    budget: list[int],
-    cache: dict[GenWord, frozenset[GenWord]],
-) -> frozenset[GenWord]:
-    """Class representatives appearing as restrictions of ``w`` at
-    arbitrarily large depth: the nodes reachable from a directed cycle
-    (self-loops included) of the restriction graph.
-    """
-    w = index.canon(w)
-    if w in cache:
-        return cache[w]
-    succ = _class_closure_graph(index, w, bound, budget)
-    cyclic = _cyclic_nodes(succ)
-    reach: set[GenWord] = set()
-    queue = deque(cyclic)
-    while queue:
-        g = queue.popleft()
-        if g in reach:
-            continue
-        reach.add(g)
-        for child in succ[g]:
-            if child not in reach:
-                queue.append(child)
-    out = frozenset(reach)
-    cache[w] = out
-    return out
-
-
-def _cyclic_nodes(succ: dict[GenWord, tuple[GenWord, ...]]) -> set[GenWord]:
-    # Tarjan SCC, iterative; a node is cyclic if its SCC has size > 1 or it
-    # carries a self-loop.
-    index: dict[GenWord, int] = {}
-    low: dict[GenWord, int] = {}
-    on_stack: set[GenWord] = set()
-    stack: list[GenWord] = []
-    cyclic: set[GenWord] = set()
-    counter = [0]
-
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = succ[node]
-            advanced = False
-            for k in range(ei, len(children)):
-                child = children[k]
-                if child not in index:
-                    work.append((node, k + 1))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    g = stack.pop()
-                    on_stack.discard(g)
-                    comp.append(g)
-                    if g == node:
-                        break
-                if len(comp) > 1 or node in succ[node]:
-                    cyclic.update(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return cyclic
 
 
 def nucleus(
@@ -357,26 +249,48 @@ def nucleus(
     With ``up_to_action`` words are identified when their tree actions agree,
     which computes the nucleus of the faithful quotient instead; recursions
     whose quotient has torsion are only contracting in that sense.  Raises
-    BoundExceeded when the candidate set or the search work grows past the
-    budget, which reports the recursion as not contracting within bound.
+    BoundExceeded when the candidate set, one restriction closure or the
+    search work grows past the budget, which reports the recursion as not
+    contracting within bound.
     """
     one = rec.alphabet.identity()
-    index = _ActionIndex(rec, bound, identify=up_to_action)
-    symmetric: set[GenWord] = set()
-    for g in gens:
-        symmetric.add(index.canon(g))
-        symmetric.add(index.canon(~g))
+    if up_to_action:
+        canon = _ActionIndex(rec, bound).canon
+    else:
+        # one object per word: set and dict lookups then match on identity
+        # and skip the dataclass __eq__
+        interned: dict[GenWord, GenWord] = {}
+        canon = lambda w: interned.setdefault(w, w)
+    budget = max(100 * bound, 200000)
+
+    def children(w: GenWord) -> tuple[GenWord, GenWord]:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise BoundExceeded("nucleus search expanded more states than its budget")
+        elem = phi_apply(rec, w)
+        return canon(elem.c0), canon(elem.c1)
+
+    cache: dict[GenWord, set[GenWord]] = {}
+
+    def eventual_range(w: GenWord) -> set[GenWord]:
+        # class representatives appearing as restrictions of w at
+        # arbitrarily large depth
+        w = canon(w)
+        if w not in cache:
+            cache[w] = _peel(_closure([w], children, bound)[0])
+        return cache[w]
+
+    symmetric = {canon(h) for g in gens for h in (g, ~g)}
     symmetric.discard(one)
     gen_list = _sorted_words(symmetric)
 
-    cache: dict[GenWord, frozenset[GenWord]] = {}
-    budget = [max(100 * bound, 200000)]
-    result: set[GenWord] = {index.canon(one)}
+    result: set[GenWord] = {canon(one)}
     while True:
         extra: set[GenWord] = set()
         for g in _sorted_words(result):
             for s in [one] + gen_list:
-                for h in _eventual_range(index, g * s, bound, budget, cache):
+                for h in eventual_range(g * s):
                     if h not in result and h not in extra:
                         extra.add(h)
                         if len(result) + len(extra) > bound:

@@ -6,6 +6,7 @@ from twistclass.cli import main, RECURSIONS
 from twistclass.labels import AIRPLANE, F34, Diverged
 from twistclass.preperiod2 import MODULI, classify_quater
 from twistclass.rabbit import MCG, classify_mcg
+from twistclass.wreath import phi_apply
 
 
 def run(capsys, *argv):
@@ -95,6 +96,20 @@ def test_trivial_command(capsys):
     code, payload, _ = run_json(capsys, "trivial", "moduli-i", "b")
     assert payload["trivial"] is False
     assert MCG.parse(payload["witness"].replace("a", "T").replace("b", "S"))
+
+
+@pytest.mark.parametrize("name, word", [
+    ("fi", "beta alpha gamma' alpha gamma' beta'"),
+    ("q14", "alpha' gamma' alpha"),
+])
+def test_trivial_witness_is_an_active_state(capsys, name, word):
+    # the walk for these words meets its first active state only after
+    # more plain restrictions than --bound allows
+    code, payload, _ = run_json(capsys, "trivial", name, word, "--bound", "3")
+    assert code == 0
+    assert payload["trivial"] is False
+    rec = RECURSIONS[name][0]()
+    assert phi_apply(rec, rec.alphabet.parse(payload["witness"])).active
 
 
 def test_moduli_command(capsys):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_word
 from twistclass.labels import BoundExceeded
@@ -16,6 +18,8 @@ from twistclass.rabbit import (
 from twistclass.periodic2 import MODULI, moduli_i_recursion
 from twistclass.preperiod2 import moduli_q_recursion
 from twistclass.selfsim import (
+    _cyclic_core,
+    _peel,
     NotStateClosed,
     VirtualEndo,
     CosetAssignmentError,
@@ -65,6 +69,66 @@ def test_closure_contracting_words_terminate():
     for _ in range(15):
         w = random_word(PI1, 12, rng)
         assert len(restriction_closure(rec, [w], 10000)) <= 10000
+
+
+def reachable(graph, node):
+    """Nodes reachable from ``node`` in one or more steps."""
+    seen, todo = set(), list(graph[node])
+    while todo:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            todo.extend(graph[g])
+    return seen
+
+
+@st.composite
+def closed_graphs(draw):
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    return {
+        g: tuple(draw(st.lists(node, max_size=3))) for g in range(n)
+    }
+
+
+@given(closed_graphs())
+def test_peel_keeps_what_a_cycle_reaches(graph):
+    reach = {g: reachable(graph, g) for g in graph}
+    cyclic = {g for g in graph if g in reach[g]}
+    want = {g for g in graph if any(g in reach[c] for c in cyclic)}
+    assert _peel(graph) == want
+
+
+def closure_size(rec, w, step):
+    """States of the restriction closure of ``step(w)`` under ``step``."""
+    seen, todo = set(), [step(w)]
+    while todo:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            elem = phi_apply(rec, g)
+            todo += [step(elem.c0), step(elem.c1)]
+    return len(seen)
+
+
+def plain_closure_size(rec, w, bound):
+    return len(restriction_closure(rec, [w], bound))
+
+
+@pytest.mark.parametrize("search, step, rec, w, want", [
+    (plain_closure_size, lambda g: g, mcg_recursion(), T, 4),
+    (plain_closure_size, lambda g: g, moduli_i_recursion(), B, 4),
+    (is_trivial_action, _cyclic_core, moduli_i_recursion(), A * A, True),
+    (is_trivial_action, _cyclic_core, moduli_i_recursion(), B ** 4, True),
+    (is_kernel_element, _cyclic_core, moduli_i_recursion(), (A * B) ** 4, True),
+    (is_kernel_element, _cyclic_core, moduli_i_recursion(), B ** 4, False),
+])
+def test_a_closure_of_k_states_fits_bound_k(search, step, rec, w, want):
+    k = closure_size(rec, w, step)
+    assert k > 1
+    assert search(rec, w, k) == want
+    with pytest.raises(BoundExceeded):
+        search(rec, w, k - 1)
 
 
 # --- word problem --------------------------------------------------------------
