@@ -208,6 +208,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistclass",
@@ -217,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--bound", type=int, default=10000,
+    common.add_argument("--bound", type=_positive_int, default=10000,
                         help="state bound for closures and nuclei")
-    common.add_argument("--max-iters", type=int, default=1024,
+    common.add_argument("--max-iters", type=_positive_int, default=1024,
                         help="iteration budget for the word classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--tol", type=_positive_float, default=1e-6,
                    help="fixed-point convergence tolerance")
-    p.add_argument("--max-lifts", type=int, default=200)
+    p.add_argument("--max-lifts", type=_positive_int, default=200)
     p.add_argument("--trace-file", help="write the lift trajectory here")
     p.set_defaults(func=_cmd_moduli)
 

@@ -310,6 +310,45 @@ def lift_loop(
     return traj[-1], traj
 
 
+#: radius of a decimation disc as a fraction of its centre's distance to the
+#: nearest puncture or pole, so every disc is clear of them
+_DISC_FRACTION = 0.5
+
+
+def _decimate(fam: RationalFamily, points: Sequence[complex]) -> list[complex]:
+    """Subsequence of the polyline that replaces runs of points inside
+    puncture-free discs by chords.
+
+    Each disc is centred on the last kept point, with radius
+    ``_DISC_FRACTION`` times that point's distance to the nearest puncture
+    or pole.  A dropped run and the chord closing it both lie in the disc,
+    which is convex and holds no branch value, so the chord is homotopic to
+    the run: lifting the decimated path ends on the same sheet at the same
+    endpoint.  The first and last points are always kept.
+    """
+    guards = _PUNCTURES + fam.poles
+
+    def radius(z: complex) -> float:
+        return _DISC_FRACTION * min(abs(z - g) for g in guards)
+
+    anchor = points[0]
+    kept = [anchor]
+    reach = radius(anchor)
+    inside: complex | None = None  # last point of the current run in the disc
+    for z in points[1:]:
+        if inside is not None and abs(z - anchor) >= reach:
+            anchor, reach, inside = inside, radius(inside), None
+            kept.append(anchor)
+        if abs(z - anchor) < reach:
+            inside = z
+        else:
+            anchor, reach = z, radius(z)
+            kept.append(anchor)
+    if inside is not None:
+        kept.append(inside)
+    return kept
+
+
 def classify_numeric(
     fam: RationalFamily,
     w: GenWord,
@@ -326,6 +365,15 @@ def classify_numeric(
     Judging the endpoint alone is not enough: a twist whose first iterates
     fix the basepoint sheet parks its endpoints exactly on the base fixed
     point for several lifts before the dynamics moves away.
+
+    Bisection only adds points, so each lifted path is decimated before it
+    becomes the next lift's input: runs of points inside a disc around the
+    last kept point, clear of every puncture and pole, give way to one
+    chord (:func:`_decimate`).  The disc is convex and holds no branch
+    value, so the chord is homotopic to the run and the next lift ends on
+    the same sheet at the same endpoint; a lifted loop that fits in one
+    disc collapses to a chord instead of being carried along.  The
+    convergence test still judges every point of the undecimated lift.
     """
     if w.alphabet != fam.alphabet:
         raise ValueError(f"word must be over {fam.alphabet.names}")
@@ -349,7 +397,7 @@ def classify_numeric(
         else:
             hits = 1 if label is not None else 0
             last = label
-        path = lifted
+        path = _decimate(fam, lifted)
     raise Diverged(f"no fixed point reached within {max_lifts} lifts")
 
 

@@ -144,6 +144,20 @@ def test_moduli_rejects_a_bad_tolerance(capsys, tol):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("nucleus", "mcg-rabbit"), "--bound"),
+    (("classify-quater", "a"), "--max-iters"),
+    (("moduli", "rabbit", "T"), "--max-lifts"),
+])
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+def test_rejects_a_non_positive_budget(capsys, argv, option, value):
+    # before, a budget <= 0 ran and gave up with exit 3
+    code, out, err = run(capsys, *argv, f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "classify-i", "xyz")
     assert code == 2

@@ -1,4 +1,8 @@
+import cmath
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import reduced_words
 from twistclass.labels import (
@@ -12,6 +16,8 @@ from twistclass.labels import (
     PunctureProximity,
 )
 from twistclass.moduli import (
+    _DISC_FRACTION,
+    _PUNCTURES,
     FAMILIES,
     ZETA,
     classify_numeric,
@@ -26,9 +32,11 @@ from twistclass.moduli import (
     rabbit_family,
     word_path,
     LoopSpec,
+    _decimate,
 )
 from twistclass.rabbit import classify_mcg
 from twistclass.preperiod2 import classify_quater
+from twistclass.periodic2 import MODULI, classify_mod5
 
 PRINTED = {
     "rabbit": [0.8774 + 0.7449j, 0.8774 - 0.7449j, -0.7549],
@@ -144,7 +152,7 @@ def test_classify_numeric_rabbit_anchors():
 
 def test_classify_numeric_agrees_with_iterator_short_words():
     fam = rabbit_family()
-    for w in reduced_words(fam.alphabet, 2, include_identity=False):
+    for w in reduced_words(fam.alphabet, 3, include_identity=False):
         assert classify_numeric(fam, w) == classify_mcg(w), str(w)
 
 
@@ -160,7 +168,7 @@ def test_classify_numeric_quater_anchors():
 
 def test_classify_numeric_quater_agrees_with_iterator():
     fam = quater_family()
-    for w in reduced_words(fam.alphabet, 2, include_identity=False):
+    for w in reduced_words(fam.alphabet, 3, include_identity=False):
         assert classify_numeric(fam, w) == classify_quater(w), str(w)
 
 
@@ -173,10 +181,8 @@ def test_classify_numeric_obstructed_twist_runs_to_puncture():
 
 
 def test_classify_numeric_agrees_with_arithmetic_classifier():
-    from twistclass.periodic2 import classify_mod5, MODULI
-
     fam = i_family()
-    for w in reduced_words(MODULI, 2, include_identity=False):
+    for w in reduced_words(MODULI, 3, include_identity=False):
         assert classify_numeric(fam, w).kind == classify_mod5(w).kind, str(w)
 
 
@@ -201,3 +207,99 @@ def test_word_path_concatenates_loops():
     assert abs(pts[-1] - fam.basepoint) < 1e-12
     single = loop_around(fam, "T").points
     assert len(pts) == 2 * len(single) - 1
+
+
+# --- decimation of lifted paths --------------------------------------------
+
+
+def _guards(fam):
+    return _PUNCTURES + fam.poles
+
+
+def _winding(points, centre):
+    turn = sum(
+        cmath.phase((b - centre) / (a - centre)) for a, b in zip(points, points[1:])
+    )
+    return round(turn / (2 * cmath.pi))
+
+
+def _kept_indices(points, kept):
+    """Indices of ``kept`` in ``points`` as an ordered subsequence; matched
+    by identity, since a polyline may repeat a value."""
+    indices, i = [], 0
+    for z in kept:
+        while points[i] is not z:
+            i += 1
+        indices.append(i)
+        i += 1
+    return indices
+
+
+_FAMILIES = [factory() for factory in FAMILIES.values()]
+
+
+@st.composite
+def polylines(draw, closed=False):
+    """A family and a polyline that wanders near its punctures and poles."""
+    fam = draw(st.sampled_from(_FAMILIES))
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        centre = draw(st.sampled_from(_guards(fam)))
+        # the shifted angle keeps points off the real axis, so that a segment
+        # runs exactly through a guard only by rounding accident
+        angle = 2 * cmath.pi * (draw(st.integers(0, 96)) + 0.3) / 97
+        points.append(centre + draw(st.floats(1e-3, 0.6)) * cmath.exp(1j * angle))
+    if closed:
+        points.append(points[0])
+    return fam, points
+
+
+@given(polylines())
+def test_decimate_keeps_an_ordered_subsequence_with_both_ends(case):
+    fam, points = case
+    kept = _decimate(fam, points)
+    assert kept[0] == points[0] and kept[-1] == points[-1]
+    indices = _kept_indices(points, kept)  # raises if not a subsequence
+    assert indices[0] == 0 and indices[-1] == len(points) - 1
+
+
+@given(polylines())
+def test_decimate_drops_only_inside_a_guard_free_disc(case):
+    fam, points = case
+    kept = _decimate(fam, points)
+    indices = _kept_indices(points, kept)
+    assert _DISC_FRACTION < 1
+    for start, stop in zip(indices, indices[1:]):
+        if stop == start + 1:
+            continue
+        centre = points[start]
+        clearance = min(abs(centre - g) for g in _guards(fam))
+        # the dropped run and the far end of the chord replacing it
+        for z in points[start + 1:stop + 1]:
+            assert abs(z - centre) < _DISC_FRACTION * clearance
+
+
+@given(polylines(closed=True))
+def test_decimate_keeps_winding_numbers(case):
+    fam, points = case
+    for g in _guards(fam):
+        # skip polylines that run through a guard: their winding is undefined
+        for a, b in zip(points, points[1:]):
+            assume(abs(cmath.phase((b - g) / (a - g))) < cmath.pi - 1e-6)
+    kept = _decimate(fam, points)
+    for g in _guards(fam):
+        assert _winding(kept, g) == _winding(points, g)
+
+
+@pytest.mark.parametrize("factory, letter, centre", [
+    (i_family, "b", 1.0 + 0.0j),
+    (rabbit_family, "S", 0.0 + 0.0j),
+])
+def test_decimated_twist_loop_winds_like_the_loop(factory, letter, centre):
+    fam = factory()
+    points = loop_around(fam, letter).points
+    kept = _decimate(fam, points)
+    assert len(kept) < len(points)
+    assert _winding(points, centre) == fam.loops[letter][1]
+    for g in _guards(fam):
+        assert _winding(kept, g) == _winding(points, g)
