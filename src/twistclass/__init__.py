@@ -14,6 +14,7 @@ from .labels import (
     BranchAmbiguity,
     ClassLabel,
     Diverged,
+    NotContracting,
     PunctureProximity,
     obstructed,
 )
@@ -44,8 +45,8 @@ from .selfsim import (
 __all__ = [
     "AIRPLANE", "CORABBIT", "F14", "F34", "F512", "F_MINUS_I", "FI", "RABBIT",
     "Alphabet", "BoundExceeded", "BranchAmbiguity", "ClassLabel", "Diverged",
-    "Endo", "GenWord", "MooreDiagram", "PunctureProximity", "Recursion",
-    "VirtualEndo", "WreathElem", "act", "action_equal", "apply_endo",
+    "Endo", "GenWord", "MooreDiagram", "NotContracting", "PunctureProximity",
+    "Recursion", "VirtualEndo", "WreathElem", "act", "action_equal", "apply_endo",
     "automata_distinct", "conjugate", "homotopy_shift", "is_kernel_element",
     "is_trivial_action", "moore_diagram", "nucleus", "obstructed",
     "phi_apply", "recursion_from_virtual_endo", "reduce_word", "restrict",

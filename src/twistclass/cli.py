@@ -19,10 +19,11 @@ from .labels import (
     BranchAmbiguity,
     ClassLabel,
     Diverged,
+    NotContracting,
     PunctureProximity,
     WordParseError,
 )
-from .words import GenWord
+from .words import MAX_WORD_LENGTH, GenWord
 from .wreath import Recursion, iterate_to_terminal
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
@@ -208,14 +209,27 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_between(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type: an integer ``>= low`` and, if given, ``<= high``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            span = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(
+                f"must be an integer {span}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_between(1)
+#: (ST)^m has 2|m| letters, which obeys the parser's word-length cap
+_st_exponent = _int_between(-(MAX_WORD_LENGTH // 2), MAX_WORD_LENGTH // 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,12 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify-rabbit", help="classify a period-3 twist")
     p.add_argument("word", nargs="?", help="word over T, S")
     p.add_argument("--power", type=int, help="classify the pure twist T^m")
-    p.add_argument("--st-power", type=int, help="classify the twist (ST)^m")
+    p.add_argument("--st-power", type=_st_exponent,
+                   help="classify the twist (ST)^m")
     p.set_defaults(func=_cmd_classify_rabbit)
 
     p = add("classify-i", help="classify a preperiod-1 twist")
     p.add_argument("word", help="word over a, b")
-    p.add_argument("--k-max", type=int, default=64,
+    p.add_argument("--k-max", type=_int_between(0), default=64,
                    help="largest obstructed index searched")
     p.set_defaults(func=_cmd_classify_i)
 
@@ -294,7 +309,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gave up: {exc}", file=sys.stderr)
         if args.json:
             kind = "bound-exceeded" if isinstance(exc, BoundExceeded) else "diverged"
-            print(json.dumps({"command": args.command, "label": kind}))
+            payload = {"command": args.command, "label": kind}
+            if isinstance(exc, NotContracting):
+                payload.update(witness=str(exc.state), vertex=exc.vertex)
+            print(json.dumps(payload, sort_keys=True))
         return 3
 
 

@@ -48,6 +48,25 @@ class BoundExceeded(RuntimeError):
     """A bounded search grew past its state/work budget."""
 
 
+class NotContracting(BoundExceeded):
+    """A nucleus search met a non-trivial state ``state`` that fixes the
+    vertex ``vertex`` and is its own restriction there.
+
+    Then every power of ``state`` is its own restriction at that vertex, so
+    all of them lie in the nucleus, which is infinite: no budget would have
+    let the search finish.
+    """
+
+    def __init__(self, state, vertex: int):
+        super().__init__(
+            f"not contracting within any bound: {state} fixes vertex {vertex} "
+            f"and is its own restriction there, so the nucleus holds all its "
+            f"powers"
+        )
+        self.state = state
+        self.vertex = vertex
+
+
 class Diverged(RuntimeError):
     """An iteration failed to reach a terminal value within its step budget."""
 

@@ -5,7 +5,11 @@ a recursion from a virtual endomorphism.
 Every closure search runs through one bounded breadth-first walk, _closure,
 with one bound rule: a search may visit ``bound`` distinct states, and the
 next distinct state raises BoundExceeded.  A blown bound is evidence (not
-proof) that the recursion is not contracting on the given seeds.
+proof) that the recursion is not contracting on the given seeds.  A
+self-loop is proof: if a non-trivial word ``w`` fixes a letter ``x`` and
+``w|_x = w``, then ``w^n|_x = w^n`` for every ``n``, so the infinitely many
+powers of ``w`` all lie in the word-level nucleus.  The nucleus search
+raises NotContracting, a BoundExceeded, as soon as it meets one.
 
 Two word problems live here and they differ: triviality of the tree action
 (no active restriction anywhere) and membership in the kernel of the
@@ -22,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .labels import BoundExceeded
+from .labels import BoundExceeded, NotContracting
 from .words import Alphabet, GenWord, _core_span
 from .wreath import Recursion, WreathElem, phi_apply
 
@@ -252,6 +256,14 @@ def nucleus(
     BoundExceeded when the candidate set, one restriction closure or the
     search work grows past the budget, which reports the recursion as not
     contracting within bound.
+
+    Over words the search also raises NotContracting, a BoundExceeded,
+    on the first expanded state ``w`` that is not the identity, is
+    inactive and is its own restriction at a letter ``x``: all powers of
+    ``w`` are then in the nucleus, so it is infinite and the search could
+    never finish.  Up to action the powers of ``w`` may coincide (``b^4``
+    acts trivially under the moduli-i recursion), so that mode has no
+    certificate and stops only on its budget.
     """
     one = rec.alphabet.identity()
     if up_to_action:
@@ -269,7 +281,13 @@ def nucleus(
         if budget < 0:
             raise BoundExceeded("nucleus search expanded more states than its budget")
         elem = phi_apply(rec, w)
-        return canon(elem.c0), canon(elem.c1)
+        c0, c1 = canon(elem.c0), canon(elem.c1)
+        # w is interned too, so `is` finds a self-loop
+        if not up_to_action and not elem.active and w.letters and (
+            c0 is w or c1 is w
+        ):
+            raise NotContracting(w, 0 if c0 is w else 1)
+        return c0, c1
 
     cache: dict[GenWord, set[GenWord]] = {}
 

@@ -50,6 +50,13 @@ def _inverse(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return tuple([(n, -s) for n, s in reversed(letters)])
 
 
+def _power_length(letters: tuple[Letter, ...], n: int) -> int:
+    """Length of the ``n``-th power (``n != 0``) of a reduced word: the
+    cyclic core repeats, the conjugating ends appear once."""
+    i, j = _core_span(letters)
+    return len(letters) + (abs(n) - 1) * (j - i)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Immutable set of generator names; the unit of compatibility checks."""
@@ -299,6 +306,13 @@ AB = Alphabet(("a", "b"))
 # tokens: generator names, "'" (inverse), "^" INT (power), parentheses;
 # juxtaposition or whitespace is concatenation, applied left to right.
 
+#: most letters a parsed word may expand to, counted before free reduction
+#: across the factors of one parenthesis level and exactly for a power
+MAX_WORD_LENGTH = 100_000
+#: deepest parenthesis nesting the recursive-descent parser accepts
+MAX_NESTING_DEPTH = 100
+
+
 def _tokenize(alphabet: Alphabet, text: str) -> list[tuple[str, str | int, int]]:
     names = sorted(alphabet.names, key=len, reverse=True)
     tokens: list[tuple[str, str | int, int]] = []
@@ -321,10 +335,17 @@ def _tokenize(alphabet: Alphabet, text: str) -> list[tuple[str, str | int, int]]
             if j < len(text) and text[j] in "+-":
                 j += 1
             k = j
-            while k < len(text) and text[k].isdigit():
+            # ASCII digits only: str.isdigit also admits '²', which int() refuses
+            while k < len(text) and "0" <= text[k] <= "9":
                 k += 1
             if k == j:
                 raise WordParseError("'^' must be followed by an integer", i)
+            # an exponent with more digits than the length cap exceeds it on
+            # any letter; int() is slow on (or refuses) long digit strings
+            if len(text[j:k].lstrip("0")) > len(str(MAX_WORD_LENGTH)):
+                raise WordParseError(
+                    f"exponent exceeds the {MAX_WORD_LENGTH}-letter cap", i
+                )
             tokens.append(("pow", int(text[i + 1 : k]), i))
             i = k
             continue
@@ -344,6 +365,7 @@ class _Parser:
         self.tokens = _tokenize(alphabet, text)
         self.pos = 0
         self.text_len = len(text)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -357,6 +379,10 @@ class _Parser:
             if tok is None or tok[0] == ")":
                 return GenWord._trusted(self.alphabet, _reduce(letters))
             letters += self.factor().letters
+            if len(letters) > MAX_WORD_LENGTH:
+                raise WordParseError(
+                    f"word expands past {MAX_WORD_LENGTH} letters", tok[2]
+                )
 
     def factor(self) -> GenWord:
         tok = self.peek()
@@ -370,8 +396,14 @@ class _Parser:
             atom = self.alphabet.identity()
             self.pos += 1
         elif kind == "(":
+            if self.depth == MAX_NESTING_DEPTH:
+                raise WordParseError(
+                    f"parentheses nest deeper than {MAX_NESTING_DEPTH}", at
+                )
             self.pos += 1
+            self.depth += 1
             atom = self.word()
+            self.depth -= 1
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 raise WordParseError("unbalanced '('", at)
@@ -386,7 +418,12 @@ class _Parser:
                 atom = ~atom
                 self.pos += 1
             elif tok[0] == "pow":
-                atom = atom ** int(tok[1])
+                n = int(tok[1])
+                if n and _power_length(atom.letters, n) > MAX_WORD_LENGTH:
+                    raise WordParseError(
+                        f"power expands past {MAX_WORD_LENGTH} letters", tok[2]
+                    )
+                atom = atom ** n
                 self.pos += 1
             else:
                 return atom

@@ -6,6 +6,7 @@ from twistclass.cli import main, RECURSIONS
 from twistclass.labels import AIRPLANE, F34, Diverged
 from twistclass.preperiod2 import MODULI, classify_quater
 from twistclass.rabbit import MCG, classify_mcg
+from twistclass.words import MAX_WORD_LENGTH
 from twistclass.wreath import phi_apply
 
 
@@ -169,6 +170,67 @@ def test_bound_exceeded_exit_code(capsys):
     assert code == 3
     assert payload["label"] == "bound-exceeded"
     assert "bound" in err
+
+
+def test_nucleus_names_its_self_loop_certificate(capsys):
+    # at the default bound the budget alone would take minutes to run out
+    code, payload, err = run_json(capsys, "nucleus", "moduli-i")
+    assert code == 3
+    assert payload == {
+        "command": "nucleus", "label": "bound-exceeded", "witness": "b", "vertex": 1,
+    }
+    assert "bound" in err
+
+
+def test_distinct_stops_on_the_certificate_too(capsys):
+    code, payload, _ = run_json(capsys, "distinct", "rabbit", "moduli-i")
+    assert code == 3
+    assert payload["label"] == "bound-exceeded"
+    assert (payload["witness"], payload["vertex"]) == ("b", 1)
+
+
+def test_a_blown_budget_has_no_witness(capsys):
+    code, payload, _ = run_json(capsys, "nucleus", "moduli-i", "--bound", "1")
+    assert code == 3
+    assert payload == {"command": "nucleus", "label": "bound-exceeded"}
+
+
+@pytest.mark.parametrize("value, code", [
+    ("-5", 2), ("-1", 2), ("x", 2), ("0", 0), ("5", 0),
+])
+def test_classify_i_k_max_must_not_be_negative(capsys, value, code):
+    # before, a negative --k-max ran and gave up with exit 3
+    got, out, err = run(capsys, "classify-i", "a", "--k-max", value)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert "--k-max" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify-quater", "(" * 1500 + "a" + ")" * 1500),
+    ("classify-i", "(a b)^3000000"),
+    ("classify-rabbit", f"T^{MAX_WORD_LENGTH + 1}"),
+    ("trivial", "rabbit", "alpha^" + "9" * 5000),
+])
+def test_oversized_words_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("value, code", [
+    (str(MAX_WORD_LENGTH // 2), 0),
+    (str(-(MAX_WORD_LENGTH // 2)), 0),
+    (str(MAX_WORD_LENGTH // 2 + 1), 2),
+    ("-10000000000", 2),
+])
+def test_st_power_obeys_the_length_cap(capsys, value, code):
+    got, _, err = run(capsys, "classify-rabbit", "--st-power", value)
+    assert got == code
+    if code == 2:
+        assert "--st-power" in err
 
 
 def test_unknown_recursion_name(capsys):

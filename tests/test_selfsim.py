@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_word
-from twistclass.labels import BoundExceeded
+from twistclass.labels import BoundExceeded, NotContracting
 from twistclass.rabbit import (
     ADDING_MACHINE,
     MCG,
@@ -193,6 +193,43 @@ def test_gx_nucleus_not_contracting_within_bound():
         nucleus(rec, MODULI.gens(), 1)
     with pytest.raises(BoundExceeded):
         nucleus(rec, MODULI.gens(), 60)
+
+
+def test_moduli_i_nucleus_stops_on_a_self_loop():
+    # b fixes vertex 1 and b|_1 = b, so every power of b is in the nucleus
+    rec = moduli_i_recursion()
+    with pytest.raises(NotContracting) as err:
+        nucleus(rec, MODULI.gens(), 10000)
+    assert isinstance(err.value, BoundExceeded)
+    assert (err.value.state, err.value.vertex) == (B, 1)
+    elem = phi_apply(rec, B)
+    assert not elem.active and elem.c1 == B
+    for n in (2, 3, 5):
+        assert phi_apply(rec, B ** n).c1 == B ** n
+
+
+def test_moduli_i_nucleus_up_to_action_is_finite():
+    # b^4 acts trivially, so the self-loop b|_1 = b proves nothing here
+    rec = moduli_i_recursion()
+    assert is_trivial_action(rec, B ** 4)
+    got = nucleus(rec, MODULI.gens(), 10000, up_to_action=True)
+    assert len(got) == 19
+    assert B in got
+
+
+@pytest.mark.parametrize("rec", [
+    rabbit_recursion("R"),
+    rabbit_recursion("A"),
+    rabbit_recursion("C"),
+    mcg_recursion(),
+    moduli_q_recursion(),
+], ids=["rabbit", "airplane", "corabbit", "mcg-rabbit", "moduli-q"])
+def test_contracting_nuclei_hold_no_self_loop_certificate(rec):
+    states = nucleus(rec, rec.alphabet.gens(), 10000)
+    for w in states:
+        elem = phi_apply(rec, w)
+        if not w.is_identity and not elem.active:
+            assert w not in (elem.c0, elem.c1), w
 
 
 def test_nucleus_properties():

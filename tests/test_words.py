@@ -4,7 +4,16 @@ import pytest
 
 from conftest import random_word, reduced_words
 from twistclass.labels import AlphabetMismatch, WordParseError
-from twistclass.words import Alphabet, Endo, GenWord, apply_endo, conjugate, reduce_word
+from twistclass.words import (
+    MAX_NESTING_DEPTH,
+    MAX_WORD_LENGTH,
+    Alphabet,
+    Endo,
+    GenWord,
+    apply_endo,
+    conjugate,
+    reduce_word,
+)
 from twistclass.rabbit import PI1, t_action, t_inverse_action, s_action, s_inverse_action
 
 AL, BE, GA = PI1.gens()
@@ -172,6 +181,61 @@ def test_parse_errors_carry_position():
         GRAMMAR.parse("T^")
     with pytest.raises(WordParseError):
         GRAMMAR.parse("(T S")
+
+
+N = MAX_WORD_LENGTH
+
+
+@pytest.mark.parametrize("text, length", [
+    (f"T^{N}", N),
+    (f"(T S)^{N // 2}", N),
+    (f"T^{N - 1} S", N),
+    # the conjugating ends of a power appear once
+    (f"(T S T')^{N - 2}", N),
+    # the cap is on letters, so an identity power passes
+    ("1^999999", 0),
+])
+def test_parse_accepts_words_up_to_the_length_cap(text, length):
+    assert len(GRAMMAR.parse(text)) == length
+
+
+@pytest.mark.parametrize("text", [
+    f"T^{N + 1}",
+    f"T^-{N + 1}",
+    f"(T S)^{N // 2 + 1}",
+    f"T^{N} S",
+    f"(T S T')^{N - 1}",
+    "(T S)^3000000",
+    "T^" + "9" * 5000,
+    # letters count before free reduction
+    f"T^{N // 2 + 1} T'^{N // 2}",
+])
+def test_parse_rejects_words_past_the_length_cap(text):
+    with pytest.raises(WordParseError, match="cap|past"):
+        GRAMMAR.parse(text)
+
+
+def test_parse_refuses_an_oversized_power_before_building_it():
+    # the power is checked before it is built, so "(T^N)^999999" costs no
+    # 10^11-letter tuple; the error points at its '^'
+    with pytest.raises(WordParseError, match="power") as err:
+        GRAMMAR.parse(f"(T^{N})^2")
+    assert err.value.position == len(f"(T^{N})")
+
+
+def test_parse_nesting_cap():
+    depth = MAX_NESTING_DEPTH
+    assert GRAMMAR.parse("(" * depth + "T" + ")" * depth) == GRAMMAR.gen("T")
+    with pytest.raises(WordParseError, match="nest") as err:
+        GRAMMAR.parse("(" * 1500 + "T" + ")" * 1500)
+    assert err.value.position == depth
+
+
+@pytest.mark.parametrize("text", ["T^\u00b2", "T^\u0663", "T^-\u00b2"])
+def test_parse_exponents_take_ascii_digits_only(text):
+    # str.isdigit admits these, and int() refuses the first
+    with pytest.raises(WordParseError):
+        GRAMMAR.parse(text)
 
 
 def test_endo_iterate_rejects_negative():
