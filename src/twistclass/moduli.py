@@ -251,22 +251,35 @@ def _lift_target(
     floor: int,
 ) -> list[complex]:
     """Continue the lift from ``current`` over the base segment
-    prev_base -> target, bisecting until steps are below step_tol."""
+    prev_base -> target, bisecting until each step is below the scaled
+    tolerance ``step_tol * max(1, |current|)``.
+
+    Inside the unit disc the tolerance is the Euclidean ``step_tol``; outside
+    it a step is measured as ``|dz| / |z|``, the step in the log coordinate,
+    which is scale-invariant next to the puncture at infinity.  The two
+    preimages there lie at least about ``|z|`` apart (``±z`` for the rabbit,
+    ``z`` and a point near 0 or 1 for the i and quater families), ten times
+    the guard's ``2 * step_tol * |z|`` at the default ``step_tol``, so the
+    nearest preimage stays unambiguous.  At the bisection floor a step is
+    still accepted unless the two preimages are closer than twice the scaled
+    tolerance, which raises :class:`BranchAmbiguity`.
+    """
     out: list[complex] = []
     stack = [(prev_base, target, 0)]
     while stack:
         a, b, depth = stack.pop()
         p0, p1 = fam.preimages(b)
-        best, other = (p0, p1) if abs(p0 - current) <= abs(p1 - current) else (p1, p0)
-        if abs(best - current) <= step_tol:
+        best = p0 if abs(p0 - current) <= abs(p1 - current) else p1
+        tol = step_tol * max(1.0, abs(current))
+        if abs(best - current) <= tol:
             current = best
             out.append(best)
             continue
         if depth >= floor:
-            if abs(p0 - p1) < 2 * step_tol:
+            if abs(p0 - p1) < 2 * tol:
                 raise BranchAmbiguity(
                     f"preimages {p0} and {p1} of {b} are closer than twice the "
-                    f"step tolerance"
+                    f"scaled step tolerance {tol}"
                 )
             current = best
             out.append(best)
@@ -285,6 +298,13 @@ def lift_path(
     floor: int = 26,
 ) -> list[complex]:
     """Unique continuous preimage of the polyline starting at ``start``.
+
+    Each base segment is bisected until every lifted step is at most
+    ``step_tol * max(1, |z|)`` from the lifted point ``z`` it continues:
+    Euclidean inside the unit disc, relative outside it, so a lift running
+    out to the puncture at infinity is not bisected in proportion to
+    ``|z|``.  See :func:`_lift_target` for the guard that keeps the
+    continuation on one branch.
 
     ``start`` must be a preimage of the first point (checked loosely with the
     unguarded formula: lift chains may legitimately converge to a puncture).
@@ -366,14 +386,18 @@ def classify_numeric(
     fix the basepoint sheet parks its endpoints exactly on the base fixed
     point for several lifts before the dynamics moves away.
 
-    Bisection only adds points, so each lifted path is decimated before it
-    becomes the next lift's input: runs of points inside a disc around the
-    last kept point, clear of every puncture and pole, give way to one
-    chord (:func:`_decimate`).  The disc is convex and holds no branch
-    value, so the chord is homotopic to the run and the next lift ends on
-    the same sheet at the same endpoint; a lifted loop that fits in one
-    disc collapses to a chord instead of being carried along.  The
-    convergence test still judges every point of the undecimated lift.
+    Each lift bisects the base path until every lifted step is below
+    ``step_tol * max(1, |z|)`` (:func:`lift_path`), and raises
+    :class:`BranchAmbiguity` where the two preimages at the bisection floor
+    lie closer than twice that.  Bisection only adds points, so each lifted
+    path is decimated before it becomes the next lift's input: runs of
+    points inside a disc around the last kept point, clear of every
+    puncture and pole, give way to one chord (:func:`_decimate`).  The disc
+    is convex and holds no branch value, so the chord is homotopic to the
+    run and the next lift ends on the same sheet at the same endpoint; a
+    lifted loop that fits in one disc collapses to a chord instead of being
+    carried along.  The convergence test still judges every point of the
+    undecimated lift.
     """
     if w.alphabet != fam.alphabet:
         raise ValueError(f"word must be over {fam.alphabet.names}")

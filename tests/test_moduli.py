@@ -1,4 +1,7 @@
 import cmath
+import dataclasses
+import functools
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -13,6 +16,7 @@ from twistclass.labels import (
     F512,
     FI,
     RABBIT,
+    BranchAmbiguity,
     PunctureProximity,
 )
 from twistclass.moduli import (
@@ -33,10 +37,12 @@ from twistclass.moduli import (
     word_path,
     LoopSpec,
     _decimate,
+    _lift_target,
 )
+from twistclass import moduli
 from twistclass.rabbit import classify_mcg
 from twistclass.preperiod2 import classify_quater
-from twistclass.periodic2 import MODULI, classify_mod5
+from twistclass.periodic2 import classify_mod5
 
 PRINTED = {
     "rabbit": [0.8774 + 0.7449j, 0.8774 - 0.7449j, -0.7549],
@@ -150,10 +156,29 @@ def test_classify_numeric_rabbit_anchors():
     assert classify_numeric(fam, fam.alphabet.identity()) == RABBIT
 
 
+@functools.cache
+def _numeric_runs(name):
+    """(word, label, largest lifted path) for every reduced word of length
+    1-4 in one family, shared by the agreement and budget tests."""
+    fam = FAMILIES[name]()
+    sizes = []
+
+    def counted(*args, **kwargs):
+        lifted = lift_path(*args, **kwargs)
+        sizes.append(len(lifted))
+        return lifted
+
+    runs = []
+    with mock.patch.object(moduli, "lift_path", counted):
+        for w in reduced_words(fam.alphabet, 4, include_identity=False):
+            sizes.clear()
+            runs.append((w, classify_numeric(fam, w), max(sizes)))
+    return tuple(runs)
+
+
 def test_classify_numeric_agrees_with_iterator_short_words():
-    fam = rabbit_family()
-    for w in reduced_words(fam.alphabet, 3, include_identity=False):
-        assert classify_numeric(fam, w) == classify_mcg(w), str(w)
+    for w, label, _ in _numeric_runs("rabbit"):
+        assert label == classify_mcg(w), str(w)
 
 
 def test_classify_numeric_quater_anchors():
@@ -167,9 +192,8 @@ def test_classify_numeric_quater_anchors():
 
 
 def test_classify_numeric_quater_agrees_with_iterator():
-    fam = quater_family()
-    for w in reduced_words(fam.alphabet, 3, include_identity=False):
-        assert classify_numeric(fam, w) == classify_quater(w), str(w)
+    for w, label, _ in _numeric_runs("quater"):
+        assert label == classify_quater(w), str(w)
 
 
 def test_classify_numeric_obstructed_twist_runs_to_puncture():
@@ -181,9 +205,49 @@ def test_classify_numeric_obstructed_twist_runs_to_puncture():
 
 
 def test_classify_numeric_agrees_with_arithmetic_classifier():
-    fam = i_family()
-    for w in reduced_words(MODULI, 3, include_identity=False):
-        assert classify_numeric(fam, w).kind == classify_mod5(w).kind, str(w)
+    for w, label, _ in _numeric_runs("i"):
+        assert label.kind == classify_mod5(w).kind, str(w)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_lifted_paths_stay_within_point_budget(name):
+    # an absolute step tolerance bisects thousands of times on the branches
+    # that run out to the puncture at infinity (18,045 points for an i-family
+    # word of length 3, 71,450 at length 4); the step scaled by max(1, |z|)
+    # keeps every lift of every word up to length 4 at or below 1,281 points
+    for w, _, largest in _numeric_runs(name):
+        assert largest <= 2000, str(w)
+
+
+# --- the branch-ambiguity guard ---------------------------------------------
+
+
+def _constant_preimages(p0, p1):
+    """The i family with every base point lifting to the fixed pair p0, p1,
+    so bisection never shortens the step and reaches the floor."""
+    return dataclasses.replace(i_family(), preimages=lambda v: (p0, p1))
+
+
+# current point, step to the nearer preimage, and two separations of the
+# preimages, one below and one above twice the scaled tolerance
+# 0.05 * max(1, |current|): 0.05 at 0.5, 50 at 1000
+_GUARD_CASES = [
+    (0.5 + 0j, 0.2, 0.08, 0.12),  # inside the unit disc
+    (1000 + 0j, 200, 60, 120),  # next to the puncture at infinity
+]
+
+
+@pytest.mark.parametrize("current, step, close, apart", _GUARD_CASES)
+def test_branch_ambiguity_guard_scales_with_the_point(current, step, close, apart):
+    p0 = current + step
+    with pytest.raises(BranchAmbiguity):
+        _lift_target(
+            _constant_preimages(p0, p0 + close), 2j, 3j, current, 0.05, floor=4
+        )
+    lifted = _lift_target(
+        _constant_preimages(p0, p0 + apart), 2j, 3j, current, 0.05, floor=4
+    )
+    assert lifted[-1] == p0
 
 
 def test_trace_format():
