@@ -70,20 +70,14 @@ def _cmd_classify_rabbit(args) -> int:
         payload = _label_payload("classify-rabbit", f"(ST)^{args.st_power}", label)
         _emit(args, payload, f"(ST)^{args.st_power} twist: {label}")
         return 0
-    if args.word is None:
-        print(
-            "classify-rabbit needs a word, --power or --st-power",
-            file=sys.stderr,
-        )
-        return 2
     w = rabbit.MCG.parse(args.word)
-    return _emit_orbit(args, w, rabbit.psi_bar, rabbit.TERMINAL_LABELS)
+    return _emit_orbit(args, w, rabbit.psi_bar, rabbit.terminal_label)
 
 
-def _emit_orbit(args, w: GenWord, step, terminals) -> int:
-    """Report the label of the orbit of ``w`` under ``step``, with the
-    terminal word it reaches and the step count."""
-    label, witness, steps = iterate_to_terminal(step, terminals, w, args.max_iters)
+def _emit_orbit(args, w: GenWord, step, stop) -> int:
+    """Report the label of the orbit of ``w`` under ``step`` until ``stop``
+    names a terminal word, with that word and the step count."""
+    label, witness, steps = iterate_to_terminal(step, stop, w, args.max_iters)
     payload = _label_payload(
         args.command, str(w), label, iterations=steps, witness=str(witness)
     )
@@ -105,15 +99,19 @@ def _cmd_classify_i(args) -> int:
 
 def _cmd_classify_quater(args) -> int:
     w = preperiod2.MODULI.parse(args.word)
-    return _emit_orbit(args, w, preperiod2.psi_bar_q, preperiod2.TERMINAL_LABELS)
+    return _emit_orbit(args, w, preperiod2.psi_bar_q, preperiod2.terminal_label)
+
+
+def _nucleus(name: str, bound: int) -> tuple[Recursion, set[GenWord]]:
+    """The built-in recursion ``name`` and its nucleus, taken up to action
+    where the registry says so."""
+    factory, up_to_action = RECURSIONS[name]
+    rec = factory()
+    return rec, selfsim.nucleus(rec, rec.alphabet.gens(), bound, up_to_action)
 
 
 def _cmd_nucleus(args) -> int:
-    factory, group_level = RECURSIONS[args.name]
-    rec = factory()
-    states = selfsim.nucleus(
-        rec, rec.alphabet.gens(), args.bound, up_to_action=group_level
-    )
+    rec, states = _nucleus(args.name, args.bound)
     diagram = selfsim.moore_diagram(rec, states)
     if args.dot:
         print(diagram.to_dot())
@@ -135,15 +133,8 @@ def _cmd_nucleus(args) -> int:
 
 
 def _cmd_distinct(args) -> int:
-    fac1, lvl1 = RECURSIONS[args.first]
-    fac2, lvl2 = RECURSIONS[args.second]
-    rec1, rec2 = fac1(), fac2()
-    d1 = selfsim.moore_diagram(
-        rec1, selfsim.nucleus(rec1, rec1.alphabet.gens(), args.bound, lvl1)
-    )
-    d2 = selfsim.moore_diagram(
-        rec2, selfsim.nucleus(rec2, rec2.alphabet.gens(), args.bound, lvl2)
-    )
+    d1 = selfsim.moore_diagram(*_nucleus(args.first, args.bound))
+    d2 = selfsim.moore_diagram(*_nucleus(args.second, args.bound))
     distinct = selfsim.automata_distinct(d1, d2)
     payload = {
         "command": "distinct",
@@ -251,10 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add("classify-rabbit", help="classify a period-3 twist")
-    p.add_argument("word", nargs="?", help="word over T, S")
-    p.add_argument("--power", type=int, help="classify the pure twist T^m")
-    p.add_argument("--st-power", type=_st_exponent,
-                   help="classify the twist (ST)^m")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("word", nargs="?", help="word over T, S")
+    given.add_argument("--power", type=int, help="classify the pure twist T^m")
+    given.add_argument("--st-power", type=_st_exponent,
+                       help="classify the twist (ST)^m")
     p.set_defaults(func=_cmd_classify_rabbit)
 
     p = add("classify-i", help="classify a preperiod-1 twist")

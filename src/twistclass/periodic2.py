@@ -11,11 +11,16 @@ from .labels import (
     FI,
     BoundExceeded,
     ClassLabel,
-    Diverged,
     obstructed,
 )
 from .words import AB, PI1, Endo, GenWord
-from .wreath import Recursion, WreathElem, coordinate_step, substitute_recursion
+from .wreath import (
+    Recursion,
+    WreathElem,
+    coordinate_step,
+    iterate_to_terminal,
+    substitute_recursion,
+)
 from .selfsim import _KernelTest, _shift_order, is_kernel_element
 
 # --- exact Gaussian-integer arithmetic ---------------------------------------
@@ -285,14 +290,16 @@ def obstructed_index(
     """Index n of the obstructed class: the iterator orbit of ``w`` meets
     the n-th twist power of b.
 
-    The candidate scan is filtered through the exact affine group, which
-    pins the residue of n mod 4.  The kernel tests of one call share their
-    work (``selfsim._KernelTest``): the closures of the words ``cur b^-n``
-    overlap heavily.
+    The orbit runs on the shared loop, ``wreath.iterate_to_terminal``, so
+    it follows the same budget and gives up at its first revisit.  Its
+    stop test scans the candidate indices, filtered through the exact
+    affine group, which pins the residue of n mod 4.  The kernel tests of
+    one call share their work (``selfsim._KernelTest``): the closures of
+    the words ``cur b^-n`` overlap heavily.
     """
     in_kernel = _KernelTest(_MODULI_REC, bound)
-    cur = w
-    for _ in range(iter_max):
+
+    def b_power(cur: GenWord) -> ClassLabel | None:
         exp = _pure_b_exponent(cur)
         if exp is not None and abs(exp) > k_max:
             raise BoundExceeded(
@@ -300,9 +307,10 @@ def obstructed_index(
             )
         for n in _candidate_indices(cur, k_max):
             if in_kernel(cur * ~_B ** n):
-                return n
-        cur = phi_bar(cur)
-    raise Diverged(f"no b-power within {iter_max} iterator steps")
+                return obstructed(n)
+        return None
+
+    return iterate_to_terminal(phi_bar, b_power, w, iter_max)[0].index
 
 
 def classify_full(

@@ -135,12 +135,15 @@ TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
     (frozenset({_B, ~_B * ~_A, _A * _A}), F34),
 )
 
+#: stop test of the orbit loop: the label of a terminal word, else None
+terminal_label = {t: label for ts, label in TERMINAL_LABELS for t in ts}.get
+
 
 def classify_quater(w: GenWord, max_iters: int = 64) -> ClassLabel:
     """Label of the base polynomial post-twisted by ``w``, by iteration to
     one of the terminal sets; an orbit revisiting a non-terminal word is
     reported as Diverged."""
-    return iterate_to_terminal(psi_bar_q, TERMINAL_LABELS, w, max_iters)[0]
+    return iterate_to_terminal(psi_bar_q, terminal_label, w, max_iters)[0]
 
 
 # --- twist actions on the fundamental group ----------------------------------

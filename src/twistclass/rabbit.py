@@ -150,6 +150,9 @@ TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
     (CORABBIT_CYCLE, CORABBIT),
 )
 
+#: stop test of the orbit loop: the label of a terminal word, else None
+terminal_label = {t: label for ts, label in TERMINAL_LABELS for t in ts}.get
+
 
 def classify_mcg(w: GenWord, max_iters: int = 1024) -> ClassLabel:
     """Label of the rabbit twisted by an arbitrary mapping-class word.
@@ -158,7 +161,7 @@ def classify_mcg(w: GenWord, max_iters: int = 1024) -> ClassLabel:
     (airplane) or the known 3-cycle (corabbit); any other revisited value
     means a bug, reported as Diverged.
     """
-    return iterate_to_terminal(psi_bar, TERMINAL_LABELS, w, max_iters)[0]
+    return iterate_to_terminal(psi_bar, terminal_label, w, max_iters)[0]
 
 
 def four_adic_digits(m: int) -> list[int]:

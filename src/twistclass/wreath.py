@@ -195,22 +195,27 @@ def coordinate_step(rec: Recursion, x: int, correction: GenWord, w: GenWord) -> 
 
 def iterate_to_terminal(
     step: Callable[[GenWord], GenWord],
-    terminals: Iterable[tuple[frozenset[GenWord], ClassLabel]],
+    stop: Callable[[GenWord], ClassLabel | None],
     w: GenWord,
     max_iters: int,
 ) -> tuple[ClassLabel, GenWord, int]:
-    """Iterate ``step`` from ``w`` into one of the ``(terminal set, label)``
-    pairs; return the label, the terminal word reached and the step count.
+    """Iterate ``step`` from ``w`` until the stop test ``stop`` returns a
+    label for the current word; return that label, the terminal word and
+    the step count.
+
+    ``stop`` returns ``None`` for a word that is not terminal.  A family
+    with a terminal table passes the lookup of that table; the obstructed
+    index tests each word against the powers of ``b`` instead.  Exceptions
+    raised by ``stop`` propagate.
 
     Raises Diverged when the orbit revisits a non-terminal word or when
     none of its first ``max_iters`` words is terminal, so an orbit that
     needs exactly ``max_iters`` steps gives up.
     """
-    labels = {t: label for terminal, label in terminals for t in terminal}
     seen: set[GenWord] = set()
     cur = w
     for steps in range(max_iters):
-        label = labels.get(cur)
+        label = stop(cur)
         if label is not None:
             return label, cur, steps
         if cur in seen:

@@ -254,6 +254,19 @@ def test_moduli_diverged_exit_code(capsys):
 def test_classify_rabbit_requires_input(capsys):
     code, _, err = run(capsys, "classify-rabbit")
     assert code == 2
+    assert "one of the arguments word --power --st-power is required" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("T", "--power", "3"),
+    ("T", "--st-power", "2"),
+    ("--power", "3", "--st-power", "2"),
+])
+def test_classify_rabbit_inputs_are_exclusive(capsys, argv):
+    code, out, err = run(capsys, "classify-rabbit", *argv)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
 
 
 def test_nucleus_of_action_level_recursion(capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import random_word, reduced_words
-from twistclass.labels import F_MINUS_I, FI, BoundExceeded, obstructed
+from twistclass import periodic2
+from twistclass.labels import F_MINUS_I, FI, BoundExceeded, Diverged, obstructed
 from twistclass.periodic2 import (
     MODULI,
     PI1,
@@ -235,6 +236,21 @@ def test_obstructed_index_examples():
 def test_obstructed_index_bound():
     with pytest.raises(BoundExceeded):
         obstructed_index(B ** 9, k_max=5)
+
+
+def test_obstructed_index_gives_up_at_the_first_revisit(monkeypatch):
+    # a is a fixed point of phi_bar and no power of b, so the orbit gives up
+    # at its first revisit, after one step
+    visited = []
+
+    def step(w):
+        visited.append(w)
+        return phi_bar(w)
+
+    monkeypatch.setattr(periodic2, "phi_bar", step)
+    with pytest.raises(Diverged, match="cycle"):
+        obstructed_index(A)
+    assert visited == [A]
 
 
 def test_classify_full():

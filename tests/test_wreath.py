@@ -205,6 +205,7 @@ def test_iterate_to_terminal_stops_at_a_non_terminal_cycle():
         visited.append(w)
         return psi_bar_q(w)
 
+    stop = {t: label for ts, label in TERMINAL_LABELS[:3] for t in ts}.get
     with pytest.raises(Diverged, match="cycle"):
-        iterate_to_terminal(step, TERMINAL_LABELS[:3], B, 64)
+        iterate_to_terminal(step, stop, B, 64)
     assert visited == [B, ~B * ~A, A * A]
