@@ -8,6 +8,7 @@ Diverged / branch ambiguity).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -102,39 +103,39 @@ def _cmd_classify_quater(args) -> int:
     return _emit_orbit(args, w, preperiod2.psi_bar_q, preperiod2.terminal_label)
 
 
-def _nucleus(name: str, bound: int) -> tuple[Recursion, set[GenWord]]:
-    """The built-in recursion ``name`` and its nucleus, taken up to action
-    where the registry says so."""
+def _diagram(name: str, bound: int) -> selfsim.MooreDiagram:
+    """Moore diagram of the nucleus of the built-in recursion ``name``, the
+    nucleus taken up to action where the registry says so; ``bound`` caps
+    every closure search of both steps."""
     factory, up_to_action = RECURSIONS[name]
     rec = factory()
-    return rec, selfsim.nucleus(rec, rec.alphabet.gens(), bound, up_to_action)
+    states = selfsim.nucleus(rec, rec.alphabet.gens(), bound, up_to_action)
+    return selfsim.moore_diagram(rec, states, bound)
 
 
 def _cmd_nucleus(args) -> int:
-    rec, states = _nucleus(args.name, args.bound)
-    diagram = selfsim.moore_diagram(rec, states)
+    diagram = _diagram(args.name, args.bound)
     if args.dot:
         print(diagram.to_dot())
         return 0
-    ordered = sorted(states, key=GenWord.sort_key)
     payload = {
         "command": "nucleus",
         "input": args.name,
-        "count": len(ordered),
-        "states": [str(s) for s in ordered],
+        "count": diagram.size,
+        "states": [str(s) for s in diagram.states],
     }
     _emit(
         args,
         payload,
-        f"nucleus of {args.name}: {len(ordered)} states\n"
-        + "\n".join(f"  {s}" for s in ordered),
+        f"nucleus of {args.name}: {diagram.size} states\n"
+        + "\n".join(f"  {s}" for s in diagram.states),
     )
     return 0
 
 
 def _cmd_distinct(args) -> int:
-    d1 = selfsim.moore_diagram(*_nucleus(args.first, args.bound))
-    d2 = selfsim.moore_diagram(*_nucleus(args.second, args.bound))
+    d1 = _diagram(args.first, args.bound)
+    d2 = _diagram(args.second, args.bound)
     distinct = selfsim.automata_distinct(d1, d2)
     payload = {
         "command": "distinct",
@@ -167,16 +168,16 @@ def _cmd_moduli(args) -> int:
     fam = moduli.FAMILIES[args.family]()
     w = fam.alphabet.parse(args.word)
     trace: list[tuple[int, complex]] = []
-    label = moduli.classify_numeric(
-        fam, w, max_lifts=args.max_lifts, tol=args.tol, trace=trace
-    )
-    if args.trace_file:
-        try:
+    try:
+        label = moduli.classify_numeric(
+            fam, w, max_lifts=args.max_lifts, tol=args.tol, trace=trace
+        )
+    finally:
+        # written on a give-up too, when the lifts so far matter most; a
+        # write error replaces the give-up and exits 2
+        if args.trace_file:
             with open(args.trace_file, "w", encoding="utf-8") as fh:
                 fh.write(moduli.format_trace(trace) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write the trace file: {exc}", file=sys.stderr)
-            return 2
     payload = _label_payload(
         "moduli", str(w), label, iterations=len(trace), family=args.family
     )
@@ -223,25 +224,35 @@ _positive_int = _int_between(1)
 _st_exponent = _int_between(-(MAX_WORD_LENGTH // 2), MAX_WORD_LENGTH // 2)
 
 
+@functools.cache
+def _option(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """Parent parser holding one option.  Cached, so each parser build
+    copies the option into the commands that read it instead of building
+    it again."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistclass",
         description="Decide equivalence classes of twisted quadratic "
         "topological polynomials.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--bound", type=_positive_int, default=10000,
-                        help="state bound for closures and nuclei")
-    common.add_argument("--max-iters", type=_positive_int, default=1024,
+    # each command takes only the options it reads, so any other exits 2
+    json_opt = _option("--json", action="store_true",
+                       help="machine-readable output")
+    bound = _option("--bound", type=_positive_int, default=10000,
+                    help="state bound for closures and nuclei")
+    max_iters = _option("--max-iters", type=_positive_int, default=1024,
                         help="iteration budget for the word classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name: str, *options: argparse.ArgumentParser, **kwargs):
+        return sub.add_parser(name, parents=[json_opt, *options], **kwargs)
 
-    p = add("classify-rabbit", help="classify a period-3 twist")
+    p = add("classify-rabbit", max_iters, help="classify a period-3 twist")
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("word", nargs="?", help="word over T, S")
     given.add_argument("--power", type=int, help="classify the pure twist T^m")
@@ -249,27 +260,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify the twist (ST)^m")
     p.set_defaults(func=_cmd_classify_rabbit)
 
-    p = add("classify-i", help="classify a preperiod-1 twist")
+    p = add("classify-i", bound, max_iters, help="classify a preperiod-1 twist")
     p.add_argument("word", help="word over a, b")
     p.add_argument("--k-max", type=_int_between(0), default=64,
                    help="largest obstructed index searched")
     p.set_defaults(func=_cmd_classify_i)
 
-    p = add("classify-quater", help="classify a preperiod-2 twist")
+    p = add("classify-quater", max_iters, help="classify a preperiod-2 twist")
     p.add_argument("word", help="word over a, b")
     p.set_defaults(func=_cmd_classify_quater)
 
-    p = add("nucleus", help="nucleus of a built-in recursion")
+    p = add("nucleus", bound, help="nucleus of a built-in recursion")
     p.add_argument("name", choices=sorted(RECURSIONS))
     p.add_argument("--dot", action="store_true", help="emit a DOT diagram")
     p.set_defaults(func=_cmd_nucleus)
 
-    p = add("distinct", help="compare two nuclei as automata")
+    p = add("distinct", bound, help="compare two nuclei as automata")
     p.add_argument("first", choices=sorted(RECURSIONS))
     p.add_argument("second", choices=sorted(RECURSIONS))
     p.set_defaults(func=_cmd_distinct)
 
-    p = add("trivial", help="decide triviality of a tree action")
+    p = add("trivial", bound, help="decide triviality of a tree action")
     p.add_argument("name", choices=sorted(RECURSIONS))
     p.add_argument("word")
     p.set_defaults(func=_cmd_trivial)
@@ -296,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except WordParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write the output file: {exc}", file=sys.stderr)
         return 2
     except (BoundExceeded, Diverged, BranchAmbiguity, PunctureProximity) as exc:
         print(f"gave up: {exc}", file=sys.stderr)

@@ -172,15 +172,14 @@ FAMILIES = {
 }
 
 
-def pullback(fam: RationalFamily, w: complex) -> complex:
-    """One application of the family map."""
-    return fam.apply(w)
-
-
 # --- loop geometry ------------------------------------------------------------
 
 LOOP_RADIUS = 0.25
 PUNCTURE_MARGIN = 0.05
+#: points on the circle of a twist loop, and on the segment joining it to
+#: the basepoint
+_CIRCLE_POINTS = 64
+_SEGMENT_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,7 @@ class LoopSpec:
         return LoopSpec(self.label + "'", tuple(reversed(self.points)))
 
 
-def loop_around(
-    fam: RationalFamily,
-    letter: str,
-    n_circle: int = 64,
-    n_segment: int = 16,
-) -> LoopSpec:
+def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
     """Circle of radius 0.25 around the letter's puncture, joined to the
     basepoint by a straight segment."""
     center, direction = fam.loops[letter]
@@ -216,14 +210,14 @@ def loop_around(
     ray = (base - center) / abs(base - center)
     entry = center + LOOP_RADIUS * ray
     pts: list[complex] = []
-    for k in range(n_segment):
-        pts.append(base + (entry - base) * (k / n_segment))
+    for k in range(_SEGMENT_POINTS):
+        pts.append(base + (entry - base) * (k / _SEGMENT_POINTS))
     phase = cmath.phase(ray)
-    for k in range(n_circle + 1):
-        ang = phase + direction * 2 * cmath.pi * k / n_circle
+    for k in range(_CIRCLE_POINTS + 1):
+        ang = phase + direction * 2 * cmath.pi * k / _CIRCLE_POINTS
         pts.append(center + LOOP_RADIUS * cmath.exp(1j * ang))
-    for k in range(n_segment, 0, -1):
-        pts.append(base + (entry - base) * ((k - 1) / n_segment))
+    for k in range(_SEGMENT_POINTS, 0, -1):
+        pts.append(base + (entry - base) * ((k - 1) / _SEGMENT_POINTS))
     return LoopSpec(letter, tuple(pts))
 
 
@@ -241,28 +235,33 @@ def word_path(fam: RationalFamily, w: GenWord) -> tuple[complex, ...]:
 
 # --- path lifting -------------------------------------------------------------
 
+#: largest lifted step inside the unit disc; outside it the step is relative
+#: to |z|
+_STEP_TOL = 0.05
+#: bisection depth at which a longer step is accepted, unless the two
+#: preimages there are closer than twice the step tolerance
+_BISECTION_FLOOR = 26
+
 
 def _lift_target(
     fam: RationalFamily,
     prev_base: complex,
     target: complex,
     current: complex,
-    step_tol: float,
-    floor: int,
 ) -> list[complex]:
     """Continue the lift from ``current`` over the base segment
     prev_base -> target, bisecting until each step is below the scaled
-    tolerance ``step_tol * max(1, |current|)``.
+    tolerance ``_STEP_TOL * max(1, |current|)``.
 
-    Inside the unit disc the tolerance is the Euclidean ``step_tol``; outside
-    it a step is measured as ``|dz| / |z|``, the step in the log coordinate,
-    which is scale-invariant next to the puncture at infinity.  The two
-    preimages there lie at least about ``|z|`` apart (``±z`` for the rabbit,
-    ``z`` and a point near 0 or 1 for the i and quater families), ten times
-    the guard's ``2 * step_tol * |z|`` at the default ``step_tol``, so the
-    nearest preimage stays unambiguous.  At the bisection floor a step is
-    still accepted unless the two preimages are closer than twice the scaled
-    tolerance, which raises :class:`BranchAmbiguity`.
+    Inside the unit disc the tolerance is the Euclidean ``_STEP_TOL``;
+    outside it a step is measured as ``|dz| / |z|``, the step in the log
+    coordinate, which is scale-invariant next to the puncture at infinity.
+    The two preimages there lie at least about ``|z|`` apart (``±z`` for the
+    rabbit, ``z`` and a point near 0 or 1 for the i and quater families),
+    ten times the guard's ``2 * _STEP_TOL * |z|``, so the nearest preimage
+    stays unambiguous.  At the bisection floor a step is still accepted
+    unless the two preimages are closer than twice the scaled tolerance,
+    which raises :class:`BranchAmbiguity`.
     """
     out: list[complex] = []
     stack = [(prev_base, target, 0)]
@@ -270,12 +269,12 @@ def _lift_target(
         a, b, depth = stack.pop()
         p0, p1 = fam.preimages(b)
         best = p0 if abs(p0 - current) <= abs(p1 - current) else p1
-        tol = step_tol * max(1.0, abs(current))
+        tol = _STEP_TOL * max(1.0, abs(current))
         if abs(best - current) <= tol:
             current = best
             out.append(best)
             continue
-        if depth >= floor:
+        if depth >= _BISECTION_FLOOR:
             if abs(p0 - p1) < 2 * tol:
                 raise BranchAmbiguity(
                     f"preimages {p0} and {p1} of {b} are closer than twice the "
@@ -294,13 +293,11 @@ def lift_path(
     fam: RationalFamily,
     points: Sequence[complex],
     start: complex,
-    step_tol: float = 0.05,
-    floor: int = 26,
 ) -> list[complex]:
     """Unique continuous preimage of the polyline starting at ``start``.
 
     Each base segment is bisected until every lifted step is at most
-    ``step_tol * max(1, |z|)`` from the lifted point ``z`` it continues:
+    ``_STEP_TOL * max(1, |z|)`` from the lifted point ``z`` it continues:
     Euclidean inside the unit disc, relative outside it, so a lift running
     out to the puncture at infinity is not bisected in proportion to
     ``|z|``.  See :func:`_lift_target` for the guard that keeps the
@@ -316,18 +313,10 @@ def lift_path(
     lifted = [start]
     current = start
     for i in range(1, len(points)):
-        seg = _lift_target(fam, points[i - 1], points[i], current, step_tol, floor)
+        seg = _lift_target(fam, points[i - 1], points[i], current)
         lifted.extend(seg)
         current = lifted[-1]
     return lifted
-
-
-def lift_loop(
-    fam: RationalFamily, loop: LoopSpec, start: complex, step_tol: float = 0.05
-) -> tuple[complex, list[complex]]:
-    """Lift one loop; returns (endpoint, full trajectory)."""
-    traj = lift_path(fam, loop.points, start, step_tol)
-    return traj[-1], traj
 
 
 #: radius of a decimation disc as a fraction of its centre's distance to the
@@ -374,7 +363,6 @@ def classify_numeric(
     w: GenWord,
     max_lifts: int = 200,
     tol: float = 1e-6,
-    step_tol: float = 0.05,
     trace: list[tuple[int, complex]] | None = None,
 ) -> ClassLabel:
     """Label of the family map post-twisted by ``w``.
@@ -387,7 +375,7 @@ def classify_numeric(
     point for several lifts before the dynamics moves away.
 
     Each lift bisects the base path until every lifted step is below
-    ``step_tol * max(1, |z|)`` (:func:`lift_path`), and raises
+    ``_STEP_TOL * max(1, |z|)`` (:func:`lift_path`), and raises
     :class:`BranchAmbiguity` where the two preimages at the bisection floor
     lie closer than twice that.  Bisection only adds points, so each lifted
     path is decimated before it becomes the next lift's input: runs of
@@ -409,7 +397,7 @@ def classify_numeric(
     hits = 0
     last: ClassLabel | None = None
     for n in range(max_lifts):
-        lifted = lift_path(fam, path, endpoint, step_tol)
+        lifted = lift_path(fam, path, endpoint)
         endpoint = lifted[-1]
         if trace is not None:
             trace.append((n, endpoint))

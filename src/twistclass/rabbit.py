@@ -103,13 +103,8 @@ def mcg_word_action(w: GenWord) -> Endo:
 
 
 def twisted_rabbit_recursion(m: int) -> Recursion:
-    """Recursion of the rabbit pre-twisted by the m-th power of T.
-
-    The table is the rabbit table with the inverse twist action applied to
-    both coordinates, exponent expanded symbolically.
-    """
-    e = (t_inverse_action() if m >= 0 else t_action()).iterate(abs(m))
-    return twist_recursion(rabbit_recursion("R"), e)
+    """Recursion of the rabbit pre-twisted by the m-th power of T."""
+    return twisted_mcg_recursion(_T ** m)
 
 
 def twisted_mcg_recursion(g: GenWord) -> Recursion:

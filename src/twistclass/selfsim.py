@@ -375,20 +375,19 @@ class NotStateClosed(ValueError):
 def moore_diagram(
     rec: Recursion,
     states: Iterable[GenWord],
-    up_to_action: bool = True,
     bound: int = 10000,
 ) -> MooreDiagram:
     """Build the Moore diagram of a state-closed set, or report violations.
 
-    With ``up_to_action`` a restriction target counts as one of the given
-    states when their tree actions agree.
+    A restriction target counts as one of the given states when their tree
+    actions agree; ``bound`` caps each of those action comparisons.
     """
     ordered = _sorted_words(set(states))
     pos = {s: i for i, s in enumerate(ordered)}
 
     def resolve(target: GenWord) -> int | None:
         hit = pos.get(target)
-        if hit is not None or not up_to_action:
+        if hit is not None:
             return hit
         for s in ordered:
             if action_equal(rec, target, s, bound):

@@ -263,14 +263,6 @@ class Endo:
             self.alphabet, tuple((n, other(img)) for n, img in self.images)
         )
 
-    def iterate(self, k: int) -> "Endo":
-        if k < 0:
-            raise ValueError("iterate needs k >= 0; supply the inverse action instead")
-        out = Endo.identity(self.alphabet)
-        for _ in range(k):
-            out = out.then(self)
-        return out
-
     def is_identity_on_gens(self) -> bool:
         return all(img == self.alphabet.gen(n) for n, img in self.images)
 

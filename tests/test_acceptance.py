@@ -318,6 +318,6 @@ def test_criterion_13_moduli_numerics():
 
 def test_criterion_14_lift_anchor():
     fam = moduli.i_family()
-    end, _ = moduli.lift_loop(fam, moduli.loop_around(fam, "a"), 2j)
+    end = moduli.lift_path(fam, moduli.loop_around(fam, "a").points, 2j)[-1]
     assert abs(end - (4 - 2j) / 5) < 1e-6
     _report(14, f"endpoint error {abs(end - (4 - 2j) / 5):.2e}")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistclass import selfsim
 from twistclass.cli import main, RECURSIONS
 from twistclass.labels import AIRPLANE, F34, Diverged
 from twistclass.preperiod2 import MODULI, classify_quater
@@ -128,6 +129,19 @@ def test_moduli_trace_file(capsys, tmp_path):
     assert lines and lines[0].split()[0] == "0"
 
 
+def test_moduli_trace_file_keeps_the_lifts_of_a_give_up(capsys, tmp_path):
+    path = tmp_path / "trace.txt"
+    code, out, err = run(
+        capsys, "moduli", "quater", "a b", "--max-lifts", "2",
+        "--trace-file", str(path),
+    )
+    assert code == 3
+    assert out == ""
+    assert "gave up" in err
+    lines = path.read_text().strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["0", "1"]
+
+
 def test_moduli_unwritable_trace_file(capsys, tmp_path):
     path = tmp_path / "missing-dir" / "trace.txt"
     code, out, err = run(capsys, "moduli", "rabbit", "T", "--trace-file", str(path))
@@ -157,6 +171,38 @@ def test_rejects_a_non_positive_budget(capsys, argv, option, value):
     assert code == 2
     assert out == ""
     assert option in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("classify-rabbit", "T"), "--bound"),
+    (("classify-quater", "a"), "--bound"),
+    (("moduli", "rabbit", "T"), "--bound"),
+    (("nucleus", "rabbit"), "--max-iters"),
+    (("distinct", "rabbit", "airplane"), "--max-iters"),
+    (("trivial", "rabbit", "alpha"), "--max-iters"),
+    (("moduli", "rabbit", "T"), "--max-iters"),
+])
+def test_an_option_the_command_does_not_read_exits_2(capsys, argv, option):
+    code, out, err = run(capsys, *argv, option, "3")
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("argv", [("nucleus", "fi"), ("distinct", "fi", "q14")])
+def test_bound_reaches_the_moore_diagram(capsys, monkeypatch, argv):
+    # the Moore diagram of an up-to-action nucleus runs word problems too
+    bounds = []
+    closure = selfsim._closure
+
+    def spy(roots, children, bound):
+        bounds.append(bound)
+        return closure(roots, children, bound)
+
+    monkeypatch.setattr(selfsim, "_closure", spy)
+    code, _, _ = run(capsys, *argv, "--bound", "5000")
+    assert code == 0
+    assert bounds and set(bounds) == {5000}
 
 
 def test_parse_error_exit_code(capsys):

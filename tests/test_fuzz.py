@@ -38,19 +38,25 @@ def test_parse_gives_a_word_or_a_parse_error(alphabet, text):
     assert len(w) <= MAX_WORD_LENGTH
 
 
+#: each command with the budgets it reads; any other option would exit 2
+#: before the text is parsed
 COMMANDS = (
-    ("classify-rabbit",),
-    ("classify-quater",),
-    ("classify-i",),
-    ("trivial", "moduli-i"),
-    ("trivial", "rabbit"),
+    (("classify-rabbit",), ("--max-iters",)),
+    (("classify-quater",), ("--max-iters",)),
+    (("classify-i",), ("--bound", "--max-iters")),
+    (("trivial", "moduli-i"), ("--bound",)),
+    (("trivial", "rabbit"), ("--bound",)),
 )
 
 
 @given(st.sampled_from(COMMANDS), texts, st.integers(1, 8), st.integers(1, 8))
 @settings(max_examples=150, deadline=None)
 def test_cli_exits_0_2_or_3_on_any_text(command, text, bound, max_iters):
-    argv = [*command, text, "--bound", str(bound), "--max-iters", str(max_iters)]
+    words, options = command
+    budgets = {"--bound": bound, "--max-iters": max_iters}
+    argv = [*words, text]
+    for option in options:
+        argv += [option, str(budgets[option])]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(argv)

@@ -28,10 +28,8 @@ from twistclass.moduli import (
     format_trace,
     half_plane_contraction,
     i_family,
-    lift_loop,
     lift_path,
     loop_around,
-    pullback,
     quater_family,
     rabbit_family,
     word_path,
@@ -70,25 +68,25 @@ def test_basepoints_are_fixed():
 def test_pullback_examples():
     fam = rabbit_family()
     t = fam.basepoint
-    assert abs(pullback(fam, t) - t) < 1e-9
+    assert abs(fam.apply(t) - t) < 1e-9
     fi = i_family()
-    assert abs(pullback(fi, 2j) - 2j) < 1e-12
+    assert abs(fi.apply(2j) - 2j) < 1e-12
     q = quater_family()
     p512 = [p for p, lbl in q.fixed_points if lbl == F512][0]
-    assert abs(pullback(q, p512) - p512) < 1e-9
+    assert abs(q.apply(p512) - p512) < 1e-9
 
 
 def test_pullback_puncture_proximity():
     fam = rabbit_family()
     with pytest.raises(PunctureProximity):
-        pullback(fam, 1e-12 + 0j)
+        fam.apply(1e-12 + 0j)
     with pytest.raises(PunctureProximity):
-        pullback(i_family(), 1.0 + 0j)
+        i_family().apply(1.0 + 0j)
 
 
 def test_pullback_refuses_the_quater_pole():
     with pytest.raises(PunctureProximity):
-        pullback(quater_family(), -1 + 0j)
+        quater_family().apply(-1 + 0j)
 
 
 def test_exact_contraction_fixes_zeta():
@@ -117,21 +115,21 @@ def test_loop_spec_rejects_puncture_grazing():
 
 def test_lift_anchor_i_family_a_loop():
     fam = i_family()
-    end, _ = lift_loop(fam, loop_around(fam, "a"), 2j)
+    end = lift_path(fam, loop_around(fam, "a").points, 2j)[-1]
     assert abs(end - (4 - 2j) / 5) < 1e-6
 
 
 def test_lift_i_family_b_loop_returns():
     fam = i_family()
-    end, _ = lift_loop(fam, loop_around(fam, "b"), 2j)
+    end = lift_path(fam, loop_around(fam, "b").points, 2j)[-1]
     assert abs(end - 2j) < 1e-6
 
 
 def test_lift_a_twice_returns_to_start_sheet():
     fam = i_family()
-    loop = loop_around(fam, "a")
-    end1, _ = lift_loop(fam, loop, 2j)
-    end2, _ = lift_loop(fam, loop, end1)
+    loop = loop_around(fam, "a").points
+    end1 = lift_path(fam, loop, 2j)[-1]
+    end2 = lift_path(fam, loop, end1)[-1]
     assert abs(end2 - 2j) < 1e-6
 
 
@@ -230,7 +228,7 @@ def _constant_preimages(p0, p1):
 
 # current point, step to the nearer preimage, and two separations of the
 # preimages, one below and one above twice the scaled tolerance
-# 0.05 * max(1, |current|): 0.05 at 0.5, 50 at 1000
+# _STEP_TOL * max(1, |current|) with _STEP_TOL = 0.05: 0.05 at 0.5, 50 at 1000
 _GUARD_CASES = [
     (0.5 + 0j, 0.2, 0.08, 0.12),  # inside the unit disc
     (1000 + 0j, 200, 60, 120),  # next to the puncture at infinity
@@ -238,15 +236,14 @@ _GUARD_CASES = [
 
 
 @pytest.mark.parametrize("current, step, close, apart", _GUARD_CASES)
-def test_branch_ambiguity_guard_scales_with_the_point(current, step, close, apart):
+def test_branch_ambiguity_guard_scales_with_the_point(
+    monkeypatch, current, step, close, apart
+):
+    monkeypatch.setattr(moduli, "_BISECTION_FLOOR", 4)
     p0 = current + step
     with pytest.raises(BranchAmbiguity):
-        _lift_target(
-            _constant_preimages(p0, p0 + close), 2j, 3j, current, 0.05, floor=4
-        )
-    lifted = _lift_target(
-        _constant_preimages(p0, p0 + apart), 2j, 3j, current, 0.05, floor=4
-    )
+        _lift_target(_constant_preimages(p0, p0 + close), 2j, 3j, current)
+    lifted = _lift_target(_constant_preimages(p0, p0 + apart), 2j, 3j, current)
     assert lifted[-1] == p0
 
 

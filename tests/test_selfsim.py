@@ -271,7 +271,7 @@ def test_mcg_diagram_active_states():
 def test_moore_diagram_not_closed_error():
     rec = mcg_recursion()
     with pytest.raises(NotStateClosed) as err:
-        moore_diagram(rec, [T], up_to_action=False)
+        moore_diagram(rec, [T])
     assert any(state == T for state, _, _ in err.value.violations)
 
 

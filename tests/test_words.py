@@ -236,8 +236,3 @@ def test_parse_exponents_take_ascii_digits_only(text):
     # str.isdigit admits these, and int() refuses the first
     with pytest.raises(WordParseError):
         GRAMMAR.parse(text)
-
-
-def test_endo_iterate_rejects_negative():
-    with pytest.raises(ValueError):
-        t_action().iterate(-1)
