@@ -114,6 +114,9 @@ def _diagram(name: str, bound: int) -> selfsim.MooreDiagram:
 
 
 def _cmd_nucleus(args) -> int:
+    if args.dot and args.json:
+        print("error: --dot and --json exclude each other", file=sys.stderr)
+        return 2
     diagram = _diagram(args.name, args.bound)
     if args.dot:
         print(diagram.to_dot())

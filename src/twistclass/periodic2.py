@@ -13,7 +13,7 @@ from .labels import (
     ClassLabel,
     obstructed,
 )
-from .words import AB, PI1, Endo, GenWord
+from .words import AB, PI1, Endo, GenWord, dehn_twist
 from .wreath import (
     Recursion,
     WreathElem,
@@ -151,12 +151,9 @@ def fstar_recursion() -> Recursion:
 
 
 def a_pi1_action() -> Endo:
-    """Action of the twist ``a`` on the fundamental-group generators."""
-    return Endo.make(PI1, {
-        "alpha": _AL.conjugate(~_BE * _GA * _BE * _AL),
-        "beta": _BE,
-        "gamma": _GA.conjugate(_BE * _AL * ~_BE),
-    })
+    """Action of the twist ``a`` on the fundamental-group generators: the
+    Dehn twist about the curve ``gamma^beta alpha``."""
+    return dehn_twist((_GA.conjugate(_BE), _AL), 1)
 
 
 def fstar_from_twist() -> Recursion:

@@ -4,7 +4,7 @@ known nuclei, the moduli iterator, and the classifier."""
 from __future__ import annotations
 
 from .labels import F14, F34, F512, ClassLabel
-from .words import AB, PI1, Endo, GenWord, fold_actions
+from .words import AB, PI1, Endo, GenWord, dehn_twist, fold_actions
 from .wreath import (
     Recursion,
     WreathElem,
@@ -12,6 +12,7 @@ from .wreath import (
     iterate_to_terminal,
     substitute_recursion,
 )
+from .selfsim import nucleus
 
 MODULI = AB
 
@@ -99,8 +100,6 @@ def quater_nucleus(variant: str, bound: int = 10000) -> set[GenWord]:
     states are identified by their action, the group the known nuclei
     live in.
     """
-    from .selfsim import nucleus
-
     return nucleus(quater_recursion(variant), PI1.gens(), bound, up_to_action=True)
 
 
@@ -146,52 +145,18 @@ def classify_quater(w: GenWord, max_iters: int = 64) -> ClassLabel:
     return iterate_to_terminal(psi_bar_q, terminal_label, w, max_iters)[0]
 
 
-# --- twist actions on the fundamental group ----------------------------------
-#
-# The two moduli generators are Dehn twists about a curve around the
-# (critical value, fixed point) pair and the (middle point, fixed point)
-# pair.  Each action fixes the circle word of the family exactly; the
-# chirality and curve positions are pinned by the nucleus oracle against the
-# numeric classifier (unique match over all convention choices).
-
-
-def a_twist_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL.conjugate(~_GA * ~_AL),
-        "beta": _BE,
-        "gamma": _GA.conjugate(~_AL),
-    })
-
-
-def a_twist_inverse_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL.conjugate(_AL * _GA),
-        "beta": _BE,
-        "gamma": _GA.conjugate(_AL * _GA),
-    })
-
-
-def b_twist_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL,
-        "beta": _BE.conjugate(_AL * ~_GA * ~_AL * ~_BE),
-        "gamma": _GA.conjugate(~_AL * ~_BE * _AL),
-    })
-
-
-def b_twist_inverse_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL,
-        "beta": _BE.conjugate(_AL * _GA * ~_AL),
-        "gamma": _GA.conjugate(~_AL * _BE * _AL * _GA),
-    })
-
+#: the moduli generators as loops whose product is their curve: ``a`` twists
+#: about the (critical value, fixed point) pair and ``b`` about the (middle
+#: point, fixed point) pair.  Both twists are left-handed and fix the circle
+#: word of the family exactly; the chirality and curve positions are pinned
+#: by the nucleus oracle against the numeric classifier (unique match over
+#: all convention choices).
+TWIST_CURVES = {"a": (_AL, _GA), "b": (_BE, _AL * _GA * ~_AL)}
 
 _LETTER_ACTIONS = {
-    ("a", 1): a_twist_action(),
-    ("a", -1): a_twist_inverse_action(),
-    ("b", 1): b_twist_action(),
-    ("b", -1): b_twist_inverse_action(),
+    (name, sign): dehn_twist(loops, -sign)
+    for name, loops in TWIST_CURVES.items()
+    for sign in (1, -1)
 }
 
 

@@ -4,7 +4,7 @@ mapping-class iterator, and the twist-power classifiers."""
 from __future__ import annotations
 
 from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel
-from .words import MCG, PI1, Endo, GenWord, fold_actions
+from .words import MCG, PI1, Endo, GenWord, dehn_twist, fold_actions
 from .wreath import (
     Recursion,
     WreathElem,
@@ -53,46 +53,14 @@ def variant_label(variant: str) -> ClassLabel:
     return {"R": RABBIT, "A": AIRPLANE, "C": CORABBIT}[variant]
 
 
-# Dehn twist actions on the fundamental group.  T twists about the curve
-# around the first two punctures, S about the last two.
-
-def t_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL.conjugate(_BE * _AL),
-        "beta": _BE.conjugate(_AL),
-        "gamma": _GA,
-    })
-
-
-def t_inverse_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL.conjugate(~_BE),
-        "beta": _BE.conjugate(~_AL * ~_BE),
-        "gamma": _GA,
-    })
-
-
-def s_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL,
-        "beta": _BE.conjugate(_GA * _BE),
-        "gamma": _GA.conjugate(_BE),
-    })
-
-
-def s_inverse_action() -> Endo:
-    return Endo.make(PI1, {
-        "alpha": _AL,
-        "beta": _BE.conjugate(~_GA),
-        "gamma": _GA.conjugate(~_BE * ~_GA),
-    })
-
+#: the twists T and S as loops whose product is their curve: T twists about
+#: the curve around the first two punctures, S about the last two
+TWIST_CURVES = {"T": (_BE, _AL), "S": (_GA, _BE)}
 
 _LETTER_ACTIONS = {
-    ("T", 1): t_action(),
-    ("T", -1): t_inverse_action(),
-    ("S", 1): s_action(),
-    ("S", -1): s_inverse_action(),
+    (name, sign): dehn_twist(loops, sign)
+    for name, loops in TWIST_CURVES.items()
+    for sign in (1, -1)
 }
 
 

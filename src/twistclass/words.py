@@ -271,6 +271,33 @@ def apply_endo(e: Endo, w: GenWord) -> GenWord:
     return e(w)
 
 
+def dehn_twist(loops: Iterable[GenWord], power: int) -> Endo:
+    """Action of the ``power``-th Dehn twist about the curve whose word ``c``
+    is the product of ``loops`` (Farb-Margalit, *A Primer on Mapping Class
+    Groups*, section 3.4).
+
+    Each loop is ``h x h^-1`` for a single letter ``x``; the generator of
+    ``x`` goes to its conjugate by ``h^-1 c^power h``, and every other
+    generator is fixed.
+    """
+    loops = tuple(loops)
+    if not loops:
+        raise ValueError("a twist curve needs at least one loop")
+    alphabet = loops[0].alphabet
+    c = alphabet.identity()
+    for loop in loops:
+        c = c * loop
+    images = {name: alphabet.gen(name) for name in alphabet.names}
+    for loop in loops:
+        k, letters = len(loop) // 2, loop.letters
+        if len(loop) % 2 == 0 or letters[:k] != _inverse(letters[k + 1:]):
+            raise ValueError(f"loop {loop} is not h x h^-1 for a single letter x")
+        h = GenWord._trusted(alphabet, letters[:k])
+        name = letters[k][0]
+        images[name] = alphabet.gen(name).conjugate(~h * c ** power * h)
+    return Endo.make(alphabet, images)
+
+
 def fold_actions(source: Alphabet, actions: dict[Letter, Endo], w: GenWord) -> Endo:
     """Action of a word over ``source`` whose letters act by ``actions``,
     letters applied left to right."""

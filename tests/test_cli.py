@@ -189,6 +189,14 @@ def test_an_option_the_command_does_not_read_exits_2(capsys, argv, option):
     assert option in err
 
 
+def test_nucleus_refuses_dot_with_json(capsys):
+    # before, --dot won and --json went unread
+    code, out, err = run(capsys, "nucleus", "mcg-rabbit", "--dot", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--dot" in err and "--json" in err
+
+
 @pytest.mark.parametrize("argv", [("nucleus", "fi"), ("distinct", "fi", "q14")])
 def test_bound_reaches_the_moore_diagram(capsys, monkeypatch, argv):
     # the Moore diagram of an up-to-action nucleus runs word problems too

@@ -8,10 +8,6 @@ from twistclass.preperiod2 import (
     MODULI,
     PI1,
     TERMINAL_LABELS,
-    a_twist_action,
-    a_twist_inverse_action,
-    b_twist_action,
-    b_twist_inverse_action,
     classify_quater,
     moduli_q_recursion,
     printed_nucleus,
@@ -155,26 +151,26 @@ def test_classification_constant_on_iterator_orbits():
 
 
 def test_twist_actions_are_inverse_pairs():
-    assert a_twist_action().then(a_twist_inverse_action()).is_identity_on_gens()
-    assert a_twist_inverse_action().then(a_twist_action()).is_identity_on_gens()
-    assert b_twist_action().then(b_twist_inverse_action()).is_identity_on_gens()
-    assert b_twist_inverse_action().then(b_twist_action()).is_identity_on_gens()
+    assert word_action(A).then(word_action(~A)).is_identity_on_gens()
+    assert word_action(~A).then(word_action(A)).is_identity_on_gens()
+    assert word_action(B).then(word_action(~B)).is_identity_on_gens()
+    assert word_action(~B).then(word_action(B)).is_identity_on_gens()
 
 
 def test_twist_actions_fix_the_circle_word():
     am = ADDING_MACHINES["F14"]
     for e in (
-        a_twist_action(),
-        a_twist_inverse_action(),
-        b_twist_action(),
-        b_twist_inverse_action(),
+        word_action(A),
+        word_action(~A),
+        word_action(B),
+        word_action(~B),
     ):
         assert e(am) == am
 
 
 def test_word_action_composes():
     e = word_action(~A * B)
-    f = a_twist_inverse_action().then(b_twist_action())
+    f = word_action(~A).then(word_action(B))
     for g in PI1.gens():
         assert e(g) == f(g)
 

@@ -12,11 +12,15 @@ from twistclass.words import (
     GenWord,
     apply_endo,
     conjugate,
+    dehn_twist,
     reduce_word,
 )
-from twistclass.rabbit import PI1, t_action, t_inverse_action, s_action, s_inverse_action
+from twistclass.periodic2 import a_pi1_action
+from twistclass.preperiod2 import MODULI, word_action
+from twistclass.rabbit import MCG, PI1, mcg_word_action
 
 AL, BE, GA = PI1.gens()
+T, S = MCG.gens()
 
 
 def test_reduce_cancellation():
@@ -68,10 +72,66 @@ def test_conjugate_round_trip():
 
 
 def test_t_action_on_generators():
-    t = t_action()
+    t = mcg_word_action(T)
     assert t(AL) == PI1.parse("alpha' beta' alpha beta alpha")
     assert t(BE) == BE.conjugate(AL)
     assert t(GA) == GA
+
+
+#: images of (alpha, beta, gamma) under each twist action, as spelled out by
+#: the hand-written tables that the curve loops replaced
+TWIST_IMAGES = {
+    "T": ("alpha' beta' alpha beta alpha", "alpha' beta alpha", "gamma"),
+    "T'": ("beta alpha beta'", "beta alpha beta alpha' beta'", "gamma"),
+    "S": ("alpha", "beta' gamma' beta gamma beta", "beta' gamma beta"),
+    "S'": ("alpha", "gamma beta gamma'", "gamma beta gamma beta' gamma'"),
+    "a": ("alpha gamma alpha gamma' alpha'", "beta", "alpha gamma alpha'"),
+    "a'": ("gamma' alpha gamma", "beta", "gamma' alpha' gamma alpha gamma"),
+    "b": (
+        "alpha",
+        "beta alpha gamma alpha' beta alpha gamma' alpha' beta'",
+        "alpha' beta alpha gamma alpha' beta' alpha",
+    ),
+    "b'": (
+        "alpha",
+        "alpha gamma' alpha' beta alpha gamma alpha'",
+        "gamma' alpha' beta' alpha gamma alpha' beta alpha gamma",
+    ),
+    "a_pi1": (
+        "alpha' beta' gamma' beta alpha beta' gamma beta alpha",
+        "beta",
+        "beta alpha' beta' gamma beta alpha beta'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TWIST_IMAGES)
+def test_twist_actions_pin_their_generator_images(name):
+    if name == "a_pi1":
+        action = a_pi1_action()
+    elif name[0] in MCG:
+        action = mcg_word_action(MCG.parse(name))
+    else:
+        action = word_action(MODULI.parse(name))
+    for g, image in zip(PI1.gens(), TWIST_IMAGES[name]):
+        assert action(g) == PI1.parse(image), str(g)
+
+
+def test_dehn_twist_about_one_puncture_is_trivial():
+    for g in PI1.gens():
+        for power in (1, -1, 3):
+            assert dehn_twist((g,), power).is_identity_on_gens()
+
+
+@pytest.mark.parametrize("loop", ["alpha beta", "alpha beta gamma", "alpha beta alpha"])
+def test_dehn_twist_rejects_a_loop_not_about_one_letter(loop):
+    with pytest.raises(ValueError):
+        dehn_twist((BE, PI1.parse(loop)), 1)
+
+
+def test_dehn_twist_rejects_an_empty_curve():
+    with pytest.raises(ValueError):
+        dehn_twist((), 1)
 
 
 def test_identity_endo():
@@ -83,20 +143,20 @@ def test_identity_endo():
 
 
 def test_endo_inverse_letters_map_to_inverted_images():
-    t = t_action()
+    t = mcg_word_action(T)
     assert t(~BE) == ~t(BE)
 
 
 def test_t_then_t_inverse_is_identity_exhaustive():
-    e = t_action().then(t_inverse_action())
-    f = t_inverse_action().then(t_action())
+    e = mcg_word_action(T).then(mcg_word_action(~T))
+    f = mcg_word_action(~T).then(mcg_word_action(T))
     for w in reduced_words(PI1, 4):
         assert e(w) == w
         assert f(w) == w
 
 
 def test_t_then_t_inverse_is_identity_long_random():
-    e = t_action().then(t_inverse_action())
+    e = mcg_word_action(T).then(mcg_word_action(~T))
     rng = random.Random(13)
     for _ in range(40):
         w = random_word(PI1, 16, rng)
@@ -104,14 +164,14 @@ def test_t_then_t_inverse_is_identity_long_random():
 
 
 def test_s_then_s_inverse_is_identity():
-    e = s_action().then(s_inverse_action())
+    e = mcg_word_action(S).then(mcg_word_action(~S))
     for w in reduced_words(PI1, 3):
         assert e(w) == w
 
 
 def test_endo_composition_convention():
     # applying a composite = applying the first factor, then the second
-    e1, e2 = t_action(), s_action()
+    e1, e2 = mcg_word_action(T), mcg_word_action(S)
     rng = random.Random(17)
     for _ in range(30):
         w = random_word(PI1, 8, rng)

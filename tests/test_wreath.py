@@ -9,8 +9,8 @@ from twistclass.rabbit import (
     MCG,
     PI1,
     mcg_recursion,
+    mcg_word_action,
     rabbit_recursion,
-    t_action,
     twisted_rabbit_recursion,
 )
 from twistclass.periodic2 import moduli_i_recursion, MODULI
@@ -155,7 +155,7 @@ def test_twist_preserves_adding_machine():
 
 def test_substitute_recursion_telescopes():
     base = rabbit_recursion("R")
-    e = t_action()
+    e = mcg_word_action(T)
     sub = substitute_recursion(base, e)
     rng = random.Random(31)
     for _ in range(30):
