@@ -140,55 +140,17 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     This is strictly stronger than acting trivially on the tree: an element
     may fix every vertex yet keep non-trivial restriction words forever, and
     such an element is *not* a kernel element.
+
+    The walk runs over cyclic cores, with the identity as a leaf and an
+    active state ending it (outside the kernel).  A finished walk is
+    outside the kernel exactly when its graph has a cycle.
     """
-    return _KernelTest(rec, bound)(w)
-
-
-class _KernelTest:
-    """Kernel membership (:func:`is_kernel_element`) of many words of one
-    recursion: every state is expanded once, and the search stops at states
-    already decided.
-
-    The identity and states known to be in the kernel are leaves, since
-    their whole closures lie in the kernel; a state known to be outside
-    stops the search, as an active one does.  In a finished search a state
-    is outside the kernel exactly when it reaches a cycle, so every state
-    gets its verdict.  Only a search that would have blown ``bound`` can
-    answer differently from fresh :func:`is_kernel_element` calls: it may
-    now answer instead of raising.
-    """
-
-    def __init__(self, rec: Recursion, bound: int = 10000):
-        self.rec = rec
-        self.bound = bound
-        #: state -> cyclic cores of its two restrictions, None if active
-        self._children: dict[GenWord, tuple[GenWord, GenWord] | None] = {}
-        #: state -> whether it lies in the kernel
-        self._member: dict[GenWord, bool] = {rec.alphabet.identity(): True}
-
-    def _successors(self, w: GenWord) -> tuple[GenWord, ...] | None:
-        known = self._member.get(w)
-        if known is not None:
-            return () if known else None
-        if w not in self._children:
-            self._children[w] = _core_children(self.rec, w)
-        return self._children[w]
-
-    def __call__(self, w: GenWord) -> bool:
-        member = self._member
-        root = _cyclic_core(w)
-        succ, stop = _closure([root], self._successors, self.bound)
-        if stop is not None:
-            member[stop] = member[root] = False
-            return False
-        pred: dict[GenWord, list[GenWord]] = {g: [] for g in succ}
-        for g, kids in succ.items():
-            for child in kids:
-                pred[child].append(g)
-        escaping = _peel(pred)
-        for g in succ:
-            member[g] = g not in escaping
-        return member[root]
+    graph, stop = _closure(
+        [_cyclic_core(w)],
+        lambda g: () if g.is_identity else _core_children(rec, g),
+        bound,
+    )
+    return stop is None and not _peel(graph)
 
 
 def action_equal(

@@ -205,7 +205,7 @@ def iterate_to_terminal(
 
     ``stop`` returns ``None`` for a word that is not terminal.  A family
     with a terminal table passes the lookup of that table; the obstructed
-    index tests each word against the powers of ``b`` instead.  Exceptions
+    index tests whether the word is a power of ``b`` instead.  Exceptions
     raised by ``stop`` propagate.
 
     Raises Diverged when the orbit revisits a non-terminal word or when

@@ -181,6 +181,7 @@ def test_rejects_a_non_positive_budget(capsys, argv, option, value):
     (("distinct", "rabbit", "airplane"), "--max-iters"),
     (("trivial", "rabbit", "alpha"), "--max-iters"),
     (("moduli", "rabbit", "T"), "--max-iters"),
+    (("classify-i", "a"), "--bound"),
 ])
 def test_an_option_the_command_does_not_read_exits_2(capsys, argv, option):
     code, out, err = run(capsys, *argv, option, "3")
@@ -195,6 +196,17 @@ def test_nucleus_refuses_dot_with_json(capsys):
     assert code == 2
     assert out == ""
     assert "--dot" in err and "--json" in err
+
+
+def test_power_refuses_a_budget(capsys):
+    # before, the base-4 classifier ran and --max-iters went unread;
+    # --st-power reads it and gives up on a spent budget
+    code, out, err = run(capsys, "classify-rabbit", "--power", "5", "--max-iters", "1")
+    assert code == 2
+    assert out == ""
+    assert "--power" in err and "--max-iters" in err
+    code, _, _ = run(capsys, "classify-rabbit", "--st-power", "3", "--max-iters", "1")
+    assert code == 3
 
 
 @pytest.mark.parametrize("argv", [("nucleus", "fi"), ("distinct", "fi", "q14")])

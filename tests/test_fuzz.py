@@ -43,7 +43,7 @@ def test_parse_gives_a_word_or_a_parse_error(alphabet, text):
 COMMANDS = (
     (("classify-rabbit",), ("--max-iters",)),
     (("classify-quater",), ("--max-iters",)),
-    (("classify-i",), ("--bound", "--max-iters")),
+    (("classify-i",), ("--max-iters",)),
     (("trivial", "moduli-i"), ("--bound",)),
     (("trivial", "rabbit"), ("--bound",)),
 )

@@ -4,20 +4,22 @@ Products, inverses, powers, endomorphism images and the one-coordinate
 iterator walk build their results without re-validating them.  Each is
 checked here against a plain reduce-everything or wreath-product reference,
 and every result must pass the validating constructor unchanged.  Affine
-images of twist words and the shared kernel tests of the obstructed-index
-scan are checked against the letter-by-letter composite and fresh
-word-problem runs.
+images of twist words are checked against the letter-by-letter composite,
+kernel membership against a level-by-level walk of restrictions, and the
+obstructed index, which stops on a literal power of b, against a scan that
+solves a fresh kernel word problem per candidate index.
 """
 
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_words
 from twistclass import periodic2, preperiod2, rabbit
 from twistclass.labels import AlphabetMismatch, BoundExceeded, Diverged
-from twistclass.selfsim import _cyclic_core, _KernelTest, is_kernel_element
+from twistclass.selfsim import _cyclic_core, is_kernel_element
 from twistclass.words import AB, MCG, PI1, Endo, GenWord, _reduce
 from twistclass.wreath import WreathElem, act, coordinate_step, phi_apply, restrict
 
@@ -243,53 +245,65 @@ def test_affine_image_is_the_composite_of_letter_images(w):
 
 
 A, B = AB.gens()
-KERNEL_SEEDS = [AB.identity(), A * A, (A * B) ** 4, B ** 4, A * B]
+ONE = AB.identity()
+KERNEL_SEEDS = [ONE, A * A, (A * B) ** 4, B ** 4, A * B]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(
-    st.tuples(
-        words(AB, 8), st.sampled_from(KERNEL_SEEDS), words(AB, 4), st.integers(-6, 6)
-    ),
-    min_size=1, max_size=12,
-))
-def test_shared_kernel_test_agrees_with_fresh_runs(cases):
+def kernel_reference(rec, w, depth=8):
+    """Kernel membership level by level: True once a level is all empty
+    words, False at the first active state, None if undecided at ``depth``."""
+    level = {w}
+    for _ in range(depth + 1):
+        if all(g.is_identity for g in level):
+            return True
+        nxt = set()
+        for g in level:
+            elem = phi_apply(rec, g)
+            if elem.active:
+                return False
+            nxt |= {elem.c0, elem.c1}
+        level = nxt
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(words(AB, 8), st.sampled_from(KERNEL_SEEDS), words(AB, 4), st.integers(-6, 6))
+# a b^4 a and b^2 a^-2 b^2 reach the loop at b^4; (ab)^4 and a a (ab)^4 die
+@example(ONE, ONE, AB.parse("a b^4 a"), 0)
+@example(ONE, ONE, AB.parse("b^2 a^-2"), 2)
+@example(ONE, (A * B) ** 4, ONE, 0)
+@example(ONE, A * A, (A * B) ** 4, 0)
+def test_kernel_membership_matches_the_level_walk(u, k, v, m):
+    # a word still undecided at depth 8 keeps a restriction alive, which
+    # the library reports as outside the kernel
     rec = RECURSIONS["moduli-i"]
-    shared = _KernelTest(rec)
-    for u, k, v, m in cases:
-        w = u * k * ~u * v * B ** m
-        assert shared(w) == is_kernel_element(rec, w)
-    # every verdict the shared test keeps for later words is right
-    for state, member in shared._member.items():
-        assert member == is_kernel_element(rec, state)
+    w = u * k * ~u * v * B ** m
+    assert is_kernel_element(rec, w) == bool(kernel_reference(rec, w))
 
 
-def test_shared_kernel_test_reuses_decided_states():
-    # the first word escapes the kernel through the loop at b^4 below its
-    # root, the second reaches b^4; the third leaves a' a' inside the
-    # kernel, and the fourth reaches a' a'
-    rec = RECURSIONS["moduli-i"]
-    shared = _KernelTest(rec)
-    cases = [
-        AB.parse("a b^4 a"), AB.parse("b^2 a^-2 b^2"), (A * B) ** 4, A * A * (A * B) ** 4,
-    ]
-    assert [shared(w) for w in cases] == [False, False, True, True]
-    assert shared._member[B ** 4] is False
-    assert shared._member[A ** -2] is True
-    for state, member in shared._member.items():
-        assert member == is_kernel_element(rec, state)
+@cache
+def scanned_index(cur, k_max):
+    """The n with ``cur = b^n`` in the kernel quotient, |n| <= ``k_max``, by
+    a fresh kernel word problem for every index the affine image allows;
+    None if there is none.  Cached, since orbits of different words merge."""
+    image = periodic2.affine_image(cur)
+    for n in sorted(range(-k_max, k_max + 1), key=abs):
+        if periodic2.affine_image(B ** n) == image and periodic2.gx_equal(cur, B ** n):
+            return n
+    return None
 
 
 def obstructed_index_reference(w, k_max, iter_max):
-    """The obstructed-index scan with a fresh word problem per candidate."""
+    """The obstructed index by the scan: the first orbit word equal to a
+    power of b in the kernel quotient."""
     cur = w
     for _ in range(iter_max):
         exp = periodic2._pure_b_exponent(cur)
         if exp is not None and abs(exp) > k_max:
             raise BoundExceeded(exp)
-        for n in periodic2._candidate_indices(cur, k_max):
-            if periodic2.gx_equal(cur, B ** n):
-                return n
+        n = scanned_index(cur, k_max)
+        if n is not None:
+            return n
         cur = periodic2.phi_bar(cur)
     raise Diverged(iter_max)
 
@@ -306,3 +320,21 @@ def outcome(call, *args):
 def test_obstructed_index_matches_the_unshared_scan(w, k_max):
     want = outcome(obstructed_index_reference, w, k_max, 64)
     assert outcome(periodic2.obstructed_index, w, k_max, 64) == want
+
+
+@pytest.mark.parametrize("k_max", [64, 4])
+def test_obstructed_index_matches_the_scan_on_every_short_word(k_max):
+    for w in reduced_words(AB, 6):
+        want = outcome(obstructed_index_reference, w, k_max, 64)
+        assert outcome(periodic2.obstructed_index, w, k_max, 64) == want, w
+
+
+def test_the_orbit_stops_on_the_literal_b_power():
+    # b^3 a^2 is b^3 in the kernel quotient (a^2 = <1, 1>); the literal
+    # stop test meets the word b^3 one step later
+    w = B ** 3 * A * A
+    assert periodic2.gx_equal(w, B ** 3)
+    assert periodic2.phi_bar(w) == B ** 3
+    assert periodic2.obstructed_index(w, iter_max=2) == 3
+    with pytest.raises(Diverged):
+        periodic2.obstructed_index(w, iter_max=1)
