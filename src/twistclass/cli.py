@@ -25,7 +25,7 @@ from .labels import (
     WordParseError,
 )
 from .words import MAX_WORD_LENGTH, GenWord
-from .wreath import Recursion, iterate_to_terminal
+from .wreath import Recursion, iterate_to_terminal, phi_apply
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
 #: marks recursions whose nuclei only exist over the group of tree actions
@@ -158,7 +158,9 @@ def _cmd_distinct(args) -> int:
 def _cmd_trivial(args) -> int:
     rec = RECURSIONS[args.name][0]()
     w = rec.alphabet.parse(args.word)
-    witness = selfsim._active_restriction(rec, w, args.bound)
+    witness = selfsim._active_restriction(
+        functools.partial(phi_apply, rec), w, args.bound
+    )
     payload = {
         "command": "trivial",
         "input": str(w),

@@ -17,10 +17,15 @@ iterated recursion (all deep restrictions become the empty word).  The
 second is strictly stronger; see is_kernel_element.  Both walk cyclically
 reduced conjugates of restrictions; the active state that ends a
 triviality walk is the witness of a non-trivial action.
+
+One nucleus search expands each word once: its restrictions go through a
+memo that lives for that call, and each round of its fixed-point loop scans
+only the states the previous round added.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -104,19 +109,22 @@ def _cyclic_core(w: GenWord) -> GenWord:
     return GenWord._trusted(w.alphabet, w.letters[i:j])
 
 
-def _core_children(rec: Recursion, w: GenWord) -> tuple[GenWord, GenWord] | None:
+Restrict = Callable[[GenWord], WreathElem]
+
+
+def _core_children(phi: Restrict, w: GenWord) -> tuple[GenWord, GenWord] | None:
     """Cyclic cores of the two restrictions of ``w``; None if ``w`` is active."""
-    elem = phi_apply(rec, w)
+    elem = phi(w)
     if elem.active:
         return None
     return _cyclic_core(elem.c0), _cyclic_core(elem.c1)
 
 
-def _active_restriction(rec: Recursion, w: GenWord, bound: int) -> GenWord | None:
-    """An active, cyclically reduced conjugate of a restriction of ``w``, or
-    None when ``w`` acts trivially (see :func:`is_trivial_action`)."""
+def _active_restriction(phi: Restrict, w: GenWord, bound: int) -> GenWord | None:
+    """An active, cyclically reduced conjugate of a restriction of ``w`` under
+    ``phi``, or None when ``w`` acts trivially (see :func:`is_trivial_action`)."""
     return _closure(
-        [_cyclic_core(w)], lambda g: _core_children(rec, g), bound
+        [_cyclic_core(w)], lambda g: _core_children(phi, g), bound
     )[1]
 
 
@@ -129,7 +137,7 @@ def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     tables conjugate rather than shorten), and it stops at the first active
     state.
     """
-    return _active_restriction(rec, w, bound) is None
+    return _active_restriction(functools.partial(phi_apply, rec), w, bound) is None
 
 
 def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -145,9 +153,10 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     active state ending it (outside the kernel).  A finished walk is
     outside the kernel exactly when its graph has a cycle.
     """
+    phi = functools.partial(phi_apply, rec)
     graph, stop = _closure(
         [_cyclic_core(w)],
-        lambda g: () if g.is_identity else _core_children(rec, g),
+        lambda g: () if g.is_identity else _core_children(phi, g),
         bound,
     )
     return stop is None and not _peel(graph)
@@ -169,8 +178,8 @@ class _ActionIndex:
 
     PORTRAIT_DEPTH = 4
 
-    def __init__(self, rec: Recursion, bound: int):
-        self.rec = rec
+    def __init__(self, phi: Restrict, bound: int):
+        self.phi = phi
         self.bound = bound
         self.rep_of: dict[GenWord, GenWord] = {}
         self.by_portrait: dict[tuple, list[GenWord]] = {}
@@ -181,7 +190,7 @@ class _ActionIndex:
         for _ in range(self.PORTRAIT_DEPTH):
             nxt = []
             for g in level:
-                elem = phi_apply(self.rec, g)
+                elem = self.phi(g)
                 bits.append(elem.active)
                 nxt.append(elem.c0)
                 nxt.append(elem.c1)
@@ -194,7 +203,7 @@ class _ActionIndex:
             return hit
         key = self._portrait(w)
         for cand in self.by_portrait.get(key, []):
-            if is_trivial_action(self.rec, w * ~cand, self.bound):
+            if _active_restriction(self.phi, w * ~cand, self.bound) is None:
                 self.rep_of[w] = cand
                 return cand
         self.rep_of[w] = w
@@ -228,8 +237,10 @@ def nucleus(
     certificate and stops only on its budget.
     """
     one = rec.alphabet.identity()
+    # every restriction of this search, memoised for this call only
+    phi = functools.cache(functools.partial(phi_apply, rec))
     if up_to_action:
-        canon = _ActionIndex(rec, bound).canon
+        canon = _ActionIndex(phi, bound).canon
     else:
         # one object per word: set and dict lookups then match on identity
         # and skip the dataclass __eq__
@@ -242,7 +253,7 @@ def nucleus(
         budget -= 1
         if budget < 0:
             raise BoundExceeded("nucleus search expanded more states than its budget")
-        elem = phi_apply(rec, w)
+        elem = phi(w)
         c0, c1 = canon(elem.c0), canon(elem.c1)
         # w is interned too, so `is` finds a self-loop
         if not up_to_action and not elem.active and w.letters and (
@@ -265,10 +276,13 @@ def nucleus(
     symmetric.discard(one)
     gen_list = _sorted_words(symmetric)
 
-    result: set[GenWord] = {canon(one)}
-    while True:
-        extra: set[GenWord] = set()
-        for g in _sorted_words(result):
+    # a state scanned in an earlier round has its products' ranges in result
+    result: set[GenWord] = set()
+    extra = {canon(one)}
+    while extra:
+        result |= extra
+        new, extra = extra, set()
+        for g in _sorted_words(new):
             for s in [one] + gen_list:
                 for h in eventual_range(g * s):
                     if h not in result and h not in extra:
@@ -278,9 +292,7 @@ def nucleus(
                                 f"nucleus candidate set grew past {bound}: "
                                 f"not contracting within bound"
                             )
-        if not extra:
-            return result
-        result |= extra
+    return result
 
 
 # --- Moore diagrams ---------------------------------------------------------
@@ -462,11 +474,12 @@ def homotopy_shift(
     if rec_a.alphabet != rec_b.alphabet:
         return None
     gens = rec_a.alphabet.gens()
+    images = [phi_apply(rec_a, g) for g in gens]
     for n in _shift_order(nmax):
         shift = a_word ** (-n)
         if all(
-            phi_apply(rec_a, g) == phi_apply(rec_b, g.conjugate(shift))
-            for g in gens
+            img == phi_apply(rec_b, g.conjugate(shift))
+            for g, img in zip(gens, images)
         ):
             return n
     return None

@@ -1,11 +1,14 @@
 import json
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_word
+from twistclass import cli, selfsim
 from twistclass.labels import BoundExceeded, NotContracting
 from twistclass.rabbit import (
     ADDING_MACHINE,
@@ -18,8 +21,11 @@ from twistclass.rabbit import (
 from twistclass.periodic2 import MODULI, moduli_i_recursion
 from twistclass.preperiod2 import moduli_q_recursion
 from twistclass.selfsim import (
+    _ActionIndex,
+    _closure,
     _cyclic_core,
     _peel,
+    _sorted_words,
     NotStateClosed,
     VirtualEndo,
     CosetAssignmentError,
@@ -32,6 +38,7 @@ from twistclass.selfsim import (
     recursion_from_virtual_endo,
     restriction_closure,
 )
+from twistclass.words import GenWord
 from twistclass.wreath import Recursion, WreathElem, phi_apply
 
 T, S = MCG.gens()
@@ -249,6 +256,121 @@ def test_rabbit_nucleus_sizes():
         for v in ("R", "A", "C")
     }
     assert sizes == {"R": 9, "A": 7, "C": 9}
+
+
+def plain_nucleus(rec, gens, bound, up_to_action):
+    """The nucleus search with nothing shared: every restriction is a fresh
+    phi_apply call, every root gets a fresh closure, and every round
+    rescans all states found so far."""
+    one = rec.alphabet.identity()
+    if up_to_action:
+        canon = _ActionIndex(partial(phi_apply, rec), bound).canon
+    else:
+        interned = {}
+        canon = lambda w: interned.setdefault(w, w)
+    budget = max(100 * bound, 200000)
+
+    def children(w):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise BoundExceeded("nucleus search expanded more states than its budget")
+        elem = phi_apply(rec, w)
+        c0, c1 = canon(elem.c0), canon(elem.c1)
+        if not up_to_action and not elem.active and w.letters and (
+            c0 is w or c1 is w
+        ):
+            raise NotContracting(w, 0 if c0 is w else 1)
+        return c0, c1
+
+    ranges = {}
+
+    def eventual_range(w):
+        w = canon(w)
+        if w not in ranges:
+            ranges[w] = _peel(_closure([w], children, bound)[0])
+        return ranges[w]
+
+    symmetric = {canon(h) for g in gens for h in (g, ~g)}
+    symmetric.discard(one)
+    gen_list = _sorted_words(symmetric)
+    result = {canon(one)}
+    while True:
+        extra = set()
+        for g in _sorted_words(result):
+            for s in [one] + gen_list:
+                for h in eventual_range(g * s):
+                    if h not in result and h not in extra:
+                        extra.add(h)
+                        if len(result) + len(extra) > bound:
+                            raise BoundExceeded(
+                                f"nucleus candidate set grew past {bound}: "
+                                f"not contracting within bound"
+                            )
+        if not extra:
+            return result
+        result |= extra
+
+
+def outcome(search, rec, bound, up_to_action):
+    try:
+        return search(rec, rec.alphabet.gens(), bound, up_to_action)
+    except BoundExceeded as err:
+        return type(err), str(err), err.args if isinstance(err, NotContracting) else None
+
+
+@pytest.mark.parametrize("name", list(cli.RECURSIONS))
+def test_nucleus_matches_the_plain_search(name):
+    rec = cli.RECURSIONS[name][0]()
+    for up_to_action in (False, True):
+        for bound in (1, 2, 3, 5, 8, 13, 30, 60):
+            assert outcome(nucleus, rec, bound, up_to_action) == outcome(
+                plain_nucleus, rec, bound, up_to_action
+            ), (bound, up_to_action)
+
+
+CONTRACTING = [name for name in cli.RECURSIONS if name != "moduli-i"]
+
+
+@pytest.mark.parametrize("name", CONTRACTING)
+def test_nucleus_expands_each_word_once(name, monkeypatch):
+    factory, up_to_action = cli.RECURSIONS[name]
+    rec = factory()
+    expanded = Counter()
+
+    def spy(rec, w):
+        expanded[w] += 1
+        return phi_apply(rec, w)
+
+    monkeypatch.setattr(selfsim, "phi_apply", spy)
+    nucleus(rec, rec.alphabet.gens(), 10000, up_to_action)
+    assert expanded and max(expanded.values()) == 1
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("rabbit", 10000), ("mcg-rabbit", 10000), ("moduli-q", 10000), ("fi", 60),
+])
+def test_nucleus_scans_each_state_once(name, bound, monkeypatch):
+    # over words the only products a search forms are its scans g * s, one
+    # per state and generator or inverse (the identity among them)
+    rec = cli.RECURSIONS[name][0]()
+    products = 0
+    mul = GenWord.__mul__
+
+    def counting(u, v):
+        nonlocal products
+        products += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(GenWord, "__mul__", counting)
+    per_state = 1 + 2 * len(rec.alphabet.gens())
+    try:
+        states = nucleus(rec, rec.alphabet.gens(), bound)
+    except BoundExceeded:
+        # at most bound + 1 states were ever found, so scanned
+        assert 0 < products <= (bound + 1) * per_state
+    else:
+        assert products == len(states) * per_state
 
 
 # --- Moore diagrams ------------------------------------------------------------
