@@ -7,6 +7,8 @@ sequence equality.  Conjugation follows the right-action convention
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -246,14 +248,9 @@ class Endo:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word is over a different alphabet")
         table = self._by_letter
-        out: list[Letter] = []
-        for letter in w.letters:
-            for x in table[letter]:
-                if out and out[-1][0] == x[0] and out[-1][1] == -x[1]:
-                    out.pop()
-                else:
-                    out.append(x)
-        return GenWord._trusted(self.alphabet, tuple(out))
+        return GenWord._trusted(
+            self.alphabet, _reduce(x for letter in w.letters for x in table[letter])
+        )
 
     def then(self, other: "Endo") -> "Endo":
         """Composite applying ``self`` first, then ``other``."""
@@ -322,131 +319,98 @@ AB = Alphabet(("a", "b"))
 
 # --- word grammar -----------------------------------------------------------
 #
-# tokens: generator names, "'" (inverse), "^" INT (power), parentheses;
-# juxtaposition or whitespace is concatenation, applied left to right.
+# word   := factor*     juxtaposition or whitespace concatenates, left to right
+# factor := atom ("'" | "^" ["+" | "-"] DIGITS)*    inverse, power; left to right
+# atom   := NAME | "1" | "(" word ")"
+#
+# NAME is a generator name, the longest that matches; "1" is the identity;
+# DIGITS are one or more ASCII 0-9.
 
 #: most letters a parsed word may expand to, counted before free reduction
 #: across the factors of one parenthesis level and exactly for a power
 MAX_WORD_LENGTH = 100_000
-#: deepest parenthesis nesting the recursive-descent parser accepts
+#: deepest parenthesis nesting a word may have
 MAX_NESTING_DEPTH = 100
 
 
-def _tokenize(alphabet: Alphabet, text: str) -> list[tuple[str, str | int, int]]:
-    names = sorted(alphabet.names, key=len, reverse=True)
-    tokens: list[tuple[str, str | int, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()'":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "1":
-            tokens.append(("one", 1, i))
-            i += 1
-            continue
-        if ch == "^":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            k = j
-            # ASCII digits only: str.isdigit also admits '²', which int() refuses
-            while k < len(text) and "0" <= text[k] <= "9":
-                k += 1
-            if k == j:
-                raise WordParseError("'^' must be followed by an integer", i)
-            # an exponent with more digits than the length cap exceeds it on
-            # any letter; int() is slow on (or refuses) long digit strings
-            if len(text[j:k].lstrip("0")) > len(str(MAX_WORD_LENGTH)):
-                raise WordParseError(
-                    f"exponent exceeds the {MAX_WORD_LENGTH}-letter cap", i
-                )
-            tokens.append(("pow", int(text[i + 1 : k]), i))
-            i = k
-            continue
-        for name in names:
-            if text.startswith(name, i):
-                tokens.append(("name", name, i))
-                i += len(name)
-                break
-        else:
-            raise WordParseError(f"unexpected token {ch!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, alphabet: Alphabet, text: str):
-        self.alphabet = alphabet
-        self.tokens = _tokenize(alphabet, text)
-        self.pos = 0
-        self.text_len = len(text)
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def word(self) -> GenWord:
-        # one reduction over all factors, not a product per factor, keeps
-        # long words linear
-        letters: list[Letter] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] == ")":
-                return GenWord._trusted(self.alphabet, _reduce(letters))
-            letters += self.factor().letters
-            if len(letters) > MAX_WORD_LENGTH:
-                raise WordParseError(
-                    f"word expands past {MAX_WORD_LENGTH} letters", tok[2]
-                )
-
-    def factor(self) -> GenWord:
-        tok = self.peek()
-        if tok is None:
-            raise WordParseError("unexpected end of word", self.text_len)
-        kind, value, at = tok
-        if kind == "name":
-            atom = self.alphabet.gen(str(value))
-            self.pos += 1
-        elif kind == "one":
-            atom = self.alphabet.identity()
-            self.pos += 1
-        elif kind == "(":
-            if self.depth == MAX_NESTING_DEPTH:
-                raise WordParseError(
-                    f"parentheses nest deeper than {MAX_NESTING_DEPTH}", at
-                )
-            self.pos += 1
-            self.depth += 1
-            atom = self.word()
-            self.depth -= 1
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
-                raise WordParseError("unbalanced '('", at)
-            self.pos += 1
-        else:
-            raise WordParseError(f"unexpected {value!r}", at)
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return atom
-            if tok[0] == "'":
-                atom = ~atom
-                self.pos += 1
-            elif tok[0] == "pow":
-                n = int(tok[1])
-                if n and _power_length(atom.letters, n) > MAX_WORD_LENGTH:
-                    raise WordParseError(
-                        f"power expands past {MAX_WORD_LENGTH} letters", tok[2]
-                    )
-                atom = atom ** n
-                self.pos += 1
-            else:
-                return atom
+@functools.cache
+def _token_pattern(names: tuple[str, ...]) -> re.Pattern[str]:
+    """Whitespace, then one token: a generator name (longest first), a '^'
+    with its exponent, or any other single character.  Exponent digits are
+    ASCII only: ``\\d`` also admits '²', which int() refuses."""
+    alternatives = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    return re.compile(rf"\s*(?:({alternatives})|(\^[+-]?[0-9]*)|(\S))")
 
 
 def _parse(alphabet: Alphabet, text: str) -> GenWord:
-    return _Parser(alphabet, text).word()
+    # the letters of the open parenthesis level, reduced once when it closes
+    # (not a product per factor, which keeps long words linear); the
+    # enclosing levels wait on the stack with the position of their '('
+    stack: list[tuple[list[Letter], int]] = []
+    letters: list[Letter] = []
+    # the reduced letters of the level's last factor and its start, kept
+    # apart while "'" and "^k" may still change them
+    factor: tuple[Letter, ...] | None = None
+    factor_at = 0
+    for m in _token_pattern(alphabet.names).finditer(text):
+        name, power, other = m.groups()
+        at = m.start(m.lastindex)
+        if power is not None:
+            digits = power[1:].lstrip("+-")
+            if not digits:
+                raise WordParseError("'^' must be followed by an integer", at)
+            # an exponent with more digits than the length cap exceeds it on
+            # any letter; int() is slow on (or refuses) long digit strings
+            if len(digits.lstrip("0")) > len(str(MAX_WORD_LENGTH)):
+                raise WordParseError(
+                    f"exponent exceeds the {MAX_WORD_LENGTH}-letter cap", at
+                )
+            if factor is None:
+                raise WordParseError(f"unexpected {power!r}", at)
+            n = int(power[1:])
+            if n and _power_length(factor, n) > MAX_WORD_LENGTH:
+                raise WordParseError(
+                    f"power expands past {MAX_WORD_LENGTH} letters", at
+                )
+            factor = (GenWord._trusted(alphabet, factor) ** n).letters
+            continue
+        if other == "'":
+            if factor is None:
+                raise WordParseError(f"unexpected {other!r}", at)
+            factor = _inverse(factor)
+            continue
+        # any other token ends the factor before it
+        if factor is not None:
+            letters += factor
+            if len(letters) > MAX_WORD_LENGTH:
+                raise WordParseError(
+                    f"word expands past {MAX_WORD_LENGTH} letters", factor_at
+                )
+            factor = None
+        if name is not None:
+            factor, factor_at = ((name, 1),), at
+        elif other == "1":
+            factor, factor_at = (), at
+        elif other == "(":
+            if len(stack) == MAX_NESTING_DEPTH:
+                raise WordParseError(
+                    f"parentheses nest deeper than {MAX_NESTING_DEPTH}", at
+                )
+            stack.append((letters, at))
+            letters = []
+        elif other == ")":
+            if not stack:
+                raise WordParseError("unbalanced ')'", at)
+            factor = _reduce(letters)
+            letters, factor_at = stack.pop()
+        else:
+            raise WordParseError(f"unexpected token {other!r}", at)
+    if stack:
+        raise WordParseError("unbalanced '('", stack[-1][1])
+    if factor is not None:
+        letters += factor
+        if len(letters) > MAX_WORD_LENGTH:
+            raise WordParseError(
+                f"word expands past {MAX_WORD_LENGTH} letters", factor_at
+            )
+    return GenWord._trusted(alphabet, _reduce(letters))

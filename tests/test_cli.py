@@ -231,6 +231,14 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+def test_a_stray_closing_parenthesis_exits_2(capsys):
+    # the word must not end at a ')' that closes no '(', leaving "a"
+    code, out, err = run(capsys, "classify-quater", "a) b")
+    assert code == 2
+    assert out == ""
+    assert "unbalanced ')'" in err
+
+
 def test_bound_exceeded_exit_code(capsys):
     code, payload, err = run_json(capsys, "nucleus", "moduli-i", "--bound", "50")
     assert code == 3

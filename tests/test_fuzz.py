@@ -36,6 +36,8 @@ def test_parse_gives_a_word_or_a_parse_error(alphabet, text):
     assert isinstance(w, GenWord)
     assert w.alphabet == alphabet
     assert len(w) <= MAX_WORD_LENGTH
+    assert text.count("(") == text.count(")")
+    assert alphabet.parse(str(w)) == w
 
 
 #: each command with the budgets it reads; any other option would exit 2

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_word, reduced_words
 from twistclass.labels import AlphabetMismatch, WordParseError
 from twistclass.words import (
+    AB,
     MAX_NESTING_DEPTH,
     MAX_WORD_LENGTH,
     Alphabet,
@@ -226,11 +227,14 @@ def test_parse_longest_name_match():
     assert w.letters == (("ab", 1), ("a", 1))
 
 
-def test_str_round_trip():
+# ("a", "ab") has a name that is a prefix of another
+@pytest.mark.parametrize("alphabet", [PI1, MCG, AB, Alphabet(("a", "ab"))],
+                         ids=lambda a: "-".join(a.names))
+def test_str_round_trip(alphabet):
     rng = random.Random(23)
     for _ in range(100):
-        w = random_word(PI1, rng.randrange(10), rng)
-        assert PI1.parse(str(w)) == w
+        w = random_word(alphabet, rng.randrange(10), rng)
+        assert alphabet.parse(str(w)) == w
 
 
 def test_parse_errors_carry_position():
@@ -241,6 +245,13 @@ def test_parse_errors_carry_position():
         GRAMMAR.parse("T^")
     with pytest.raises(WordParseError):
         GRAMMAR.parse("(T S")
+    # a ')' that closes no '(' is an error, not the end of the word
+    with pytest.raises(WordParseError, match="unbalanced") as err:
+        GRAMMAR.parse("T) S")
+    assert err.value.position == 1
+    with pytest.raises(WordParseError, match="unbalanced") as err:
+        GRAMMAR.parse(")")
+    assert err.value.position == 0
 
 
 N = MAX_WORD_LENGTH
