@@ -85,20 +85,22 @@ def _emit_orbit(args, w: GenWord, step, stop) -> int:
     """Report the label of the orbit of ``w`` under ``step`` until ``stop``
     names a terminal word, with that word and the step count."""
     label, witness, steps = iterate_to_terminal(step, stop, w, args.max_iters)
+    text, witness = str(w), str(witness)
     payload = _label_payload(
-        args.command, str(w), label, iterations=steps, witness=str(witness)
+        args.command, text, label, iterations=steps, witness=witness
     )
-    _emit(args, payload, f"{w} twist: {label} (reached {witness} in {steps} steps)")
+    _emit(args, payload, f"{text} twist: {label} (reached {witness} in {steps} steps)")
     return 0
 
 
 def _cmd_classify_i(args) -> int:
     w = periodic2.MODULI.parse(args.word)
     label = periodic2.classify_full(w, k_max=args.k_max, iter_max=args.max_iters)
-    payload = _label_payload("classify-i", str(w), label)
+    text = str(w)
+    payload = _label_payload("classify-i", text, label)
     if label.index is not None:
         payload["witness"] = str(periodic2.MODULI.gen("b") ** label.index)
-    _emit(args, payload, f"{w} twist: {label}")
+    _emit(args, payload, f"{text} twist: {label}")
     return 0
 
 
@@ -161,15 +163,16 @@ def _cmd_trivial(args) -> int:
     witness = selfsim._active_restriction(
         functools.partial(phi_apply, rec), w, args.bound
     )
+    text = str(w)
     payload = {
         "command": "trivial",
-        "input": str(w),
+        "input": text,
         "trivial": witness is None,
     }
     if witness is not None:
         payload["witness"] = str(witness)
     verdict = "trivial" if witness is None else "non-trivial"
-    _emit(args, payload, f"{w} acts {verdict}ly on the tree")
+    _emit(args, payload, f"{text} acts {verdict}ly on the tree")
     return 0
 
 
@@ -187,14 +190,12 @@ def _cmd_moduli(args) -> int:
         if args.trace_file:
             with open(args.trace_file, "w", encoding="utf-8") as fh:
                 fh.write(moduli.format_trace(trace) + "\n")
+    text = str(w)
     payload = _label_payload(
-        "moduli", str(w), label, iterations=len(trace), family=args.family
+        "moduli", text, label, iterations=len(trace), family=args.family
     )
-    _emit(
-        args,
-        payload,
-        f"{args.family} family, twist {w}: {label} ({len(trace)} lifts)",
-    )
+    _emit(args, payload,
+          f"{args.family} family, twist {text}: {label} ({len(trace)} lifts)")
     return 0
 
 
@@ -235,17 +236,19 @@ _MAX_ITERS = 1024
 _st_exponent = _int_between(-(MAX_WORD_LENGTH // 2), MAX_WORD_LENGTH // 2)
 
 
-@functools.cache
 def _option(*names: str, **kwargs) -> argparse.ArgumentParser:
-    """Parent parser holding one option.  Cached, so each parser build
-    copies the option into the commands that read it instead of building
-    it again."""
+    """Parent parser holding one option, for the commands that read it."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``twistclass`` parser, built on the first call and shared by
+    every later one in the process, so callers must not mutate it.  Each
+    ``parse_args`` still returns a fresh namespace, and argparse looks up
+    ``sys.stdout``, ``sys.stderr`` and the help width when it prints."""
     parser = argparse.ArgumentParser(
         prog="twistclass",
         description="Decide equivalence classes of twisted quadratic "

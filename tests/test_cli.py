@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistclass
 from twistclass import selfsim
-from twistclass.cli import main, RECURSIONS
+from twistclass.cli import build_parser, main, RECURSIONS
 from twistclass.labels import AIRPLANE, F34, Diverged
 from twistclass.preperiod2 import MODULI, classify_quater
 from twistclass.rabbit import MCG, classify_mcg
@@ -370,3 +376,64 @@ def test_classify_gives_up_on_a_spent_budget(
     assert payload["iterations"] == steps
     assert payload["witness"] == witness
     assert classify(alphabet.parse(text), steps + 1) == label
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def test_a_budget_does_not_reach_the_next_call(capsys):
+    assert run(capsys, "classify-rabbit", "T", "--max-iters", "3")[0] == 0
+    # --power refuses a given --max-iters, so a leaked budget exits 2
+    code, payload, _ = run_json(capsys, "classify-rabbit", "--power", "5")
+    assert code == 0
+    assert payload["label"] == "airplane"
+
+
+def test_k_max_does_not_reach_the_next_call(capsys):
+    assert run(capsys, "classify-i", "a", "--k-max", "0")[0] == 0
+    code, payload, _ = run_json(capsys, "classify-i", "a b^5")
+    assert code == 0
+    assert payload["label"] == "obstructed"
+    assert payload["index"] == 5
+
+
+def test_a_call_after_failed_ones_answers_as_a_fresh_process(capsys):
+    good = ("classify-quater", "a' b", "--json")
+    assert run(capsys, "classify-quater", "a) b") == (
+        2, "", "parse error: unbalanced ')' (at position 1)\n"
+    )
+    code, out, err = run(capsys, "classify-quater", "a", "--nope")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --nope" in err
+    src = str(Path(twistclass.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "twistclass.cli", *good],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert run(capsys, *good) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    run(capsys, "classify-rabbit", "--power", "5")
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert run(capsys, "classify-i", "a b^5")[0] == 0
+    assert run(capsys, "nucleus", "--help")[0] == 0
+    assert builds == []
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("classify-rabbit", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    first = run(capsys, *argv)
+    code, out, err = first
+    assert code == 0
+    assert out.startswith("usage: twistclass")
+    assert err == ""
+    assert run(capsys, *argv) == first
