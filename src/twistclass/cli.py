@@ -2,7 +2,9 @@
 
 Exit status: 0 on success, 2 on argument/word parse errors and unwritable
 output files, 3 when a bounded search or iteration gave up (BoundExceeded /
-Diverged / branch ambiguity).
+Diverged / branch ambiguity) or a lift ran into a puncture
+(PunctureProximity); with --json every give-up but BoundExceeded is
+labelled ``diverged``.
 """
 
 from __future__ import annotations

@@ -173,10 +173,7 @@ def twisted_quater_recursion(variant: str, w: GenWord) -> Recursion:
     Exact for the calibration anchors (powers of one twist and the short
     mixed words with the a-twist first); longer mixed words can pick up an
     unnormalized circle-twist shift, where the numeric classifier
-    (:func:`twistclass.moduli.classify_numeric`) is the oracle instead.  It
-    follows the nearest preimage, and over every accepted lift step of every
-    word of length <= 4 the two preimages lay at least 4.7 times the scaled
-    step tolerance apart (13 times in this family, 4.7 in the i family).
-    That is a measurement, not a proof that each lift stays on its branch.
+    (:func:`twistclass.moduli.classify_numeric`) is the oracle instead; its
+    measured branch margins are in :func:`twistclass.moduli.lift_path`.
     """
     return substitute_recursion(quater_recursion(variant), word_action(~w))

@@ -389,60 +389,43 @@ def moore_diagram(
     return MooreDiagram(tuple(ordered), tuple(next0), tuple(next1), tuple(active))
 
 
-def _refine_colors(d: MooreDiagram, swap: bool) -> tuple[int, ...]:
-    n0 = d.next1 if swap else d.next0
-    n1 = d.next0 if swap else d.next1
-    colors = tuple(1 if a else 0 for a in d.active)
-    while True:
-        sig = [
-            (colors[i], colors[n0[i]], colors[n1[i]]) for i in range(d.size)
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sig)))}
-        new = tuple(palette[s] for s in sig)
-        if new == colors:
-            return colors
-        colors = new
-
-
 def _isomorphic(d1: MooreDiagram, d2: MooreDiagram, swap: bool) -> bool:
     """Transition/activity-preserving bijection test, optionally with the two
-    input letters of d2 swapped."""
+    input letters of d2 swapped.
+
+    The first unmapped state of d1 is tried against each unused state of d2,
+    and the pair is propagated along both transitions: every state it
+    reaches has a forced image, so only states that no mapped state reaches
+    are guessed."""
     if d1.size != d2.size:
-        return False
-    c1 = _refine_colors(d1, False)
-    c2 = _refine_colors(d2, swap)
-    if sorted(c1) != sorted(c2):
         return False
     n0 = d2.next1 if swap else d2.next0
     n1 = d2.next0 if swap else d2.next1
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent() -> bool:
-        for k, m in mapping.items():
-            if d1.active[k] != d2.active[m]:
-                return False
-            for nxt1, nxt2 in ((d1.next0[k], n0[m]), (d1.next1[k], n1[m])):
-                if nxt1 in mapping and mapping[nxt1] != nxt2:
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == d1.size:
+    def extend(image: dict[int, int]) -> bool:
+        free = next((k for k in range(d1.size) if k not in image), None)
+        if free is None:
             return True
-        for j in range(d2.size):
-            if j in used or c1[i] != c2[j]:
-                continue
-            mapping[i] = j
-            used.add(j)
-            if consistent() and extend(i + 1):
-                return True
-            del mapping[i]
-            used.discard(j)
+        for j in set(range(d2.size)).difference(image.values()):
+            trial, used = dict(image), set(image.values())
+            pairs = [(free, j)]
+            while pairs:
+                k, m = pairs.pop()
+                if k in trial:
+                    if trial[k] != m:
+                        break
+                elif m in used or d1.active[k] != d2.active[m]:
+                    break
+                else:
+                    trial[k] = m
+                    used.add(m)
+                    pairs += ((d1.next0[k], n0[m]), (d1.next1[k], n1[m]))
+            else:
+                if extend(trial):
+                    return True
         return False
 
-    return extend(0)
+    return extend({})
 
 
 def automata_distinct(

@@ -35,7 +35,6 @@ from twistclass.moduli import (
     word_path,
     LoopSpec,
     _decimate,
-    _lift_target,
 )
 from twistclass import moduli
 from twistclass.rabbit import classify_mcg
@@ -241,9 +240,11 @@ def test_branch_ambiguity_guard_scales_with_the_point(
 ):
     monkeypatch.setattr(moduli, "_BISECTION_FLOOR", 4)
     p0 = current + step
+    fam = _constant_preimages(p0, p0 + close)
     with pytest.raises(BranchAmbiguity):
-        _lift_target(_constant_preimages(p0, p0 + close), 2j, 3j, current)
-    lifted = _lift_target(_constant_preimages(p0, p0 + apart), 2j, 3j, current)
+        lift_path(fam, (fam.formula(current), 3j), current)
+    fam = _constant_preimages(p0, p0 + apart)
+    lifted = lift_path(fam, (fam.formula(current), 3j), current)
     assert lifted[-1] == p0
 
 

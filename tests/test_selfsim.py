@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -434,6 +435,69 @@ def test_mirror_pair_only_merges_under_letter_swap():
     dr, dc = diagram_of("R"), diagram_of("C")
     assert automata_distinct(dr, dc)
     assert not automata_distinct(dr, dc, allow_letter_swap=True)
+
+
+def _random_diagram(rnd, size):
+    return selfsim.MooreDiagram(
+        tuple(MCG.parse(f"T^{k}") for k in range(size)),
+        tuple(rnd.randrange(size) for _ in range(size)),
+        tuple(rnd.randrange(size) for _ in range(size)),
+        tuple(rnd.random() < 0.5 for _ in range(size)),
+    )
+
+
+def _relabelled(d, perm, swap):
+    """Copy of ``d`` with state i renamed perm[i], input letters swapped
+    when ``swap`` is set."""
+    n0, n1 = (d.next1, d.next0) if swap else (d.next0, d.next1)
+    inv = sorted(range(d.size), key=perm.__getitem__)
+    return selfsim.MooreDiagram(
+        d.states,
+        tuple(perm[n0[i]] for i in inv),
+        tuple(perm[n1[i]] for i in inv),
+        tuple(d.active[i] for i in inv),
+    )
+
+
+def _brute_isomorphic(d1, d2, swap):
+    if d1.size != d2.size:
+        return False
+    n0, n1 = (d2.next1, d2.next0) if swap else (d2.next0, d2.next1)
+    return any(
+        all(
+            d1.active[i] == d2.active[p[i]]
+            and p[d1.next0[i]] == n0[p[i]]
+            and p[d1.next1[i]] == n1[p[i]]
+            for i in range(d1.size)
+        )
+        for p in itertools.permutations(range(d2.size))
+    )
+
+
+def test_automata_distinct_matches_a_search_over_all_permutations():
+    # each random diagram against a relabelled copy, a relabelled copy with
+    # the input letters swapped and an unrelated diagram of the same size
+    rnd = random.Random(20)
+    outcomes = Counter()
+    for _ in range(150):
+        size = rnd.randint(0, 6)
+        d1 = _random_diagram(rnd, size)
+        perm = rnd.sample(range(size), size)
+        for d2 in (
+            _relabelled(d1, perm, False),
+            _relabelled(d1, perm, True),
+            _random_diagram(rnd, size),
+        ):
+            for swap in (False, True):
+                expected = not (
+                    _brute_isomorphic(d1, d2, False)
+                    or swap and _brute_isomorphic(d1, d2, True)
+                )
+                assert automata_distinct(d1, d2, swap) == expected, (d1, d2, swap)
+                outcomes[expected] += 1
+        assert not automata_distinct(d1, _relabelled(d1, perm, False))
+        assert not automata_distinct(d1, _relabelled(d1, perm, True), True)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # --- homotopy shift --------------------------------------------------------------
