@@ -1,6 +1,5 @@
 """Contraction machinery: restriction closures, nuclei, word problems,
-Moore diagrams, automaton comparison, homotopy shifts, and reconstruction of
-a recursion from a virtual endomorphism.
+Moore diagrams, automaton comparison and homotopy shifts.
 
 Every closure search runs through one bounded breadth-first walk, _closure,
 with one bound rule: a search may visit ``bound`` distinct states, and the
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .labels import BoundExceeded, NotContracting
-from .words import Alphabet, GenWord, _core_span
+from .words import GenWord, _core_span
 from .wreath import Recursion, WreathElem, phi_apply
 
 
@@ -87,18 +86,6 @@ def _peel(graph: dict[GenWord, tuple[GenWord, ...]]) -> set[GenWord]:
             if indegree[child] == 0:
                 sources.append(child)
     return set(indegree)
-
-
-def restriction_closure(
-    rec: Recursion, seeds: Iterable[GenWord], bound: int = 10000
-) -> set[GenWord]:
-    """Smallest set containing ``seeds`` and closed under restriction."""
-
-    def children(w: GenWord) -> tuple[GenWord, GenWord]:
-        elem = phi_apply(rec, w)
-        return elem.c0, elem.c1
-
-    return set(_closure(seeds, children, bound)[0])
 
 
 def _cyclic_core(w: GenWord) -> GenWord:
@@ -473,120 +460,3 @@ def _shift_order(nmax: int):
     for k in range(1, nmax + 1):
         yield k
         yield -k
-
-
-# --- reconstruction from a virtual endomorphism ------------------------------
-
-
-class CosetAssignmentError(ValueError):
-    """The coset oracle disagrees with the supplied domain data."""
-
-
-@dataclass(frozen=True)
-class VirtualEndo:
-    """Index-two virtual endomorphism given on domain generators.
-
-    ``coset_of`` assigns each word its coset index in {0, 1}; it must be a
-    homomorphism onto Z/2 with the first rep in coset 0 and the second in
-    coset 1.
-    """
-
-    alphabet: Alphabet
-    domain_gens: tuple[GenWord, ...]
-    images: tuple[GenWord, ...]
-    coset_reps: tuple[GenWord, GenWord]
-    coset_of: Callable[[GenWord], int]
-
-    def __post_init__(self):
-        if len(self.domain_gens) != len(self.images):
-            raise ValueError("domain_gens and images must have equal length")
-        if not self.coset_reps[0].is_identity:
-            raise ValueError("the first coset rep must be the identity")
-        if self.coset_of(self.coset_reps[0]) != 0 or self.coset_of(
-            self.coset_reps[1]
-        ) != 1:
-            raise CosetAssignmentError(
-                "coset reps must land in cosets 0 and 1 respectively"
-            )
-
-
-class _PhiEvaluator:
-    """Evaluates the virtual endomorphism on arbitrary domain words by
-    rewriting them over Schreier generators for the rep transversal."""
-
-    def __init__(self, v: VirtualEndo):
-        self.v = v
-        self.table: dict[GenWord, GenWord] = {}
-        one = v.alphabet.identity()
-        self.table[one] = one
-        for g, img in zip(v.domain_gens, v.images):
-            self.table[g] = img
-            self.table[~g] = ~img
-
-    def _lookup(self, s: GenWord) -> GenWord:
-        if s in self.table:
-            return self.table[s]
-        # express s as a short product of supplied domain generators
-        basis = [g for g in self.table if not g.is_identity]
-        frontier: list[tuple[GenWord, GenWord]] = [
-            (g, self.table[g]) for g in basis
-        ]
-        seen = {g for g, _ in frontier}
-        for _ in range(3):  # products of length <= 4
-            nxt: list[tuple[GenWord, GenWord]] = []
-            for word, img in frontier:
-                for g in basis:
-                    w2 = word * g
-                    if w2 in seen:
-                        continue
-                    seen.add(w2)
-                    img2 = img * self.table[g]
-                    if w2 == s:
-                        self.table[s] = img2
-                        return img2
-                    nxt.append((w2, img2))
-            frontier = nxt
-        raise CosetAssignmentError(
-            f"cannot express {s} in the supplied domain generators"
-        )
-
-    def __call__(self, u: GenWord) -> GenWord:
-        v = self.v
-        state = 0
-        out = v.alphabet.identity()
-        for name, sign in u.letters:
-            letter = GenWord(v.alphabet, ((name, sign),))
-            new_state = state ^ (v.coset_of(letter) & 1)
-            s = v.coset_reps[state] * letter * ~v.coset_reps[new_state]
-            out = out * self._lookup(s)
-            state = new_state
-        if state != 0:
-            raise CosetAssignmentError(f"{u} is not in the domain")
-        return out
-
-
-def recursion_from_virtual_endo(
-    v: VirtualEndo, h_words: tuple[GenWord, GenWord] | None = None
-) -> Recursion:
-    """Rebuild a wreath recursion whose letter-0 virtual endomorphism is ``v``.
-
-    Coordinate i of Phi(g) is ``h_i^-1 phi(r_i g r_{k_i}^-1) h_{k_i}`` with
-    k_i the coset of r_i g; changing the correction words ``h_words`` moves
-    Phi by an inner automorphism only.
-    """
-    one = v.alphabet.identity()
-    if h_words is None:
-        h_words = (one, one)
-    phi = _PhiEvaluator(v)
-    reps = v.coset_reps
-    table: dict[str, WreathElem] = {}
-    for name in v.alphabet.names:
-        g = v.alphabet.gen(name)
-        k0 = v.coset_of(g) & 1
-        coords: list[GenWord] = []
-        for i in (0, 1):
-            ki = i ^ k0
-            arg = reps[i] * g * ~reps[ki]
-            coords.append(~h_words[i] * phi(arg) * h_words[ki])
-        table[name] = WreathElem(coords[0], coords[1], k0 == 1)
-    return Recursion.make(v.alphabet, table)

@@ -197,15 +197,6 @@ class GenWord:
         return f"GenWord({self})"
 
 
-def reduce_word(alphabet: Alphabet, letters: Iterable[Letter]) -> GenWord:
-    """Freely reduce a raw letter sequence into a canonical word."""
-    return alphabet.word(letters)
-
-
-def conjugate(w: GenWord, h: GenWord) -> GenWord:
-    return w.conjugate(h)
-
-
 @dataclass(frozen=True)
 class Endo:
     """Endomorphism given by generator images; inverse letters map to
@@ -238,12 +229,6 @@ class Endo:
     def identity(cls, alphabet: Alphabet) -> "Endo":
         return cls.make(alphabet, {n: alphabet.gen(n) for n in alphabet.names})
 
-    def image(self, name: str) -> GenWord:
-        for n, img in self.images:
-            if n == name:
-                return img
-        raise AlphabetMismatch(f"{name!r} has no image")
-
     def __call__(self, w: GenWord) -> GenWord:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("word is over a different alphabet")
@@ -259,13 +244,6 @@ class Endo:
         return Endo(
             self.alphabet, tuple((n, other(img)) for n, img in self.images)
         )
-
-    def is_identity_on_gens(self) -> bool:
-        return all(img == self.alphabet.gen(n) for n, img in self.images)
-
-
-def apply_endo(e: Endo, w: GenWord) -> GenWord:
-    return e(w)
 
 
 def dehn_twist(loops: Iterable[GenWord], power: int) -> Endo:

@@ -132,7 +132,7 @@ def test_endo_image_matches_letterwise_substitution(case):
     e = Endo.make(alphabet, dict(zip(alphabet.names, images)))
     raw = []
     for n, s in w.letters:
-        img = e.image(n)
+        img = dict(e.images)[n]
         raw += img.letters if s > 0 else (~img).letters
     got = e(w)
     assert got == GenWord(alphabet, _reduce(raw))

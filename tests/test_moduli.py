@@ -248,6 +248,19 @@ def test_branch_ambiguity_guard_scales_with_the_point(
     assert lifted[-1] == p0
 
 
+def test_long_segment_is_bisected_to_the_step_tolerance():
+    # the rabbit-family preimages of [-1, -1 - 10^6] run from sqrt(1/2) to
+    # about 10^-3; every lifted step must keep to the scaled tolerance, which
+    # takes 22 halvings here (a floor of 21 leaves a step 1.4 times too long,
+    # and a floor of 8 raises BranchAmbiguity)
+    fam = rabbit_family()
+    a, b = -1, -1 - 10**6
+    lifted = lift_path(fam, (a, b), fam.preimages(a)[0])
+    for z, nxt in zip(lifted, lifted[1:]):
+        assert abs(nxt - z) <= moduli._STEP_TOL * max(1.0, abs(z)), (z, nxt)
+    assert abs(lifted[-1] - fam.preimages(b)[0]) < 1e-12
+
+
 def test_trace_format():
     fam = rabbit_family()
     T = fam.alphabet.parse("T")

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, reduced_words
 from twistclass.labels import AIRPLANE, CORABBIT, RABBIT
+from twistclass.moduli import classify_numeric, rabbit_family
 from twistclass.rabbit import (
     ADDING_MACHINE,
     MCG,
     PI1,
+    TERMINAL_LABELS,
     classify_mcg,
     classify_st_power,
     classify_twist_power,
@@ -67,6 +69,34 @@ def test_psi_bar_st_power_formulas():
         assert psi_bar(st ** (2 * m)) == (S ** -m).conjugate(~T)
         assert psi_bar(st ** (2 * m + 1)) == T * T * S ** -m
     assert psi_bar(st) == T * T
+
+
+def psi_bar_cycles(max_len):
+    """The cycle each reduced word of length <= ``max_len`` reaches under
+    psi_bar, iterating each orbit to its first revisit; words met on an
+    earlier orbit share that orbit's cycle."""
+    cycle_of = {}
+    for w in reduced_words(MCG, max_len):
+        path, index = [], {}
+        while w not in cycle_of and w not in index:
+            assert len(path) < 1024, f"orbit of {path[0]} revisits nothing"
+            index[w] = len(path)
+            path.append(w)
+            w = psi_bar(w)
+        cycle = frozenset(path[index[w]:]) if w in index else cycle_of[w]
+        cycle_of.update(dict.fromkeys(path, cycle))
+    return set(cycle_of.values())
+
+
+def test_terminal_table_is_the_set_of_psi_bar_cycles():
+    # the table is typed by hand; every cycle of the iterator on short words
+    # must be a terminal, every terminal a cycle, and each cycle's label the
+    # numeric lift's label of its shortest word
+    assert psi_bar_cycles(8) == {ts for ts, _ in TERMINAL_LABELS}
+    fam = rabbit_family()
+    for ts, label in TERMINAL_LABELS:
+        shortest = min(ts, key=lambda w: w.sort_key())
+        assert classify_numeric(fam, shortest) == label, str(shortest)
 
 
 def test_classify_anchors():

@@ -28,19 +28,15 @@ from twistclass.selfsim import (
     _peel,
     _sorted_words,
     NotStateClosed,
-    VirtualEndo,
-    CosetAssignmentError,
     automata_distinct,
     homotopy_shift,
     is_kernel_element,
     is_trivial_action,
     moore_diagram,
     nucleus,
-    recursion_from_virtual_endo,
-    restriction_closure,
 )
 from twistclass.words import GenWord
-from twistclass.wreath import Recursion, WreathElem, phi_apply
+from twistclass.wreath import Recursion, phi_apply, restrict
 
 T, S = MCG.gens()
 A, B = MODULI.gens()
@@ -48,27 +44,36 @@ A, B = MODULI.gens()
 
 # --- closures -----------------------------------------------------------------
 
+def restriction_states(rec, seeds, bound=10000):
+    """States of the plain restriction closure: ``_closure`` with both
+    coordinates of the recursion image as children."""
+    def children(w):
+        elem = phi_apply(rec, w)
+        return elem.c0, elem.c1
+    return set(_closure(seeds, children, bound)[0])
+
+
 def test_closure_of_identity():
     rec = mcg_recursion()
-    assert restriction_closure(rec, [MCG.identity()]) == {MCG.identity()}
+    assert restriction_states(rec, [MCG.identity()]) == {MCG.identity()}
 
 
 def test_closure_of_t():
     rec = mcg_recursion()
-    got = restriction_closure(rec, [T], 100)
+    got = restriction_states(rec, [T], 100)
     assert got == {T, MCG.identity(), ~S * ~T, S}
 
 
 def test_closure_of_b_pinned():
     rec = moduli_i_recursion()
-    got = restriction_closure(rec, [B], 100)
+    got = restriction_states(rec, [B], 100)
     assert got == {B, ~B * ~A, A * B, ~B}
 
 
 def test_closure_bound():
     rec = moduli_i_recursion()
     with pytest.raises(BoundExceeded):
-        restriction_closure(rec, [B], 2)
+        restriction_states(rec, [B], 2)
 
 
 def test_closure_contracting_words_terminate():
@@ -76,7 +81,7 @@ def test_closure_contracting_words_terminate():
     rng = random.Random(41)
     for _ in range(15):
         w = random_word(PI1, 12, rng)
-        assert len(restriction_closure(rec, [w], 10000)) <= 10000
+        assert len(restriction_states(rec, [w])) <= 10000
 
 
 def reachable(graph, node):
@@ -120,7 +125,7 @@ def closure_size(rec, w, step):
 
 
 def plain_closure_size(rec, w, bound):
-    return len(restriction_closure(rec, [w], bound))
+    return len(restriction_states(rec, [w], bound))
 
 
 @pytest.mark.parametrize("search, step, rec, w, want", [
@@ -536,63 +541,26 @@ def test_homotopy_shift_absent():
     )
 
 
-# --- virtual endomorphism reconstruction -----------------------------------------
+# --- virtual endomorphisms -------------------------------------------------------
 
-def mcg_virtual_endo():
-    return VirtualEndo(
-        alphabet=MCG,
-        domain_gens=(T * T, S, S.conjugate(T)),
-        images=(~S * ~T, T, MCG.identity()),
-        coset_reps=(MCG.identity(), T),
-        coset_of=lambda w: w.letter_count("T") & 1,
-    )
-
-
-def test_reconstruct_mcg_recursion():
-    rec = recursion_from_virtual_endo(mcg_virtual_endo())
-    assert rec.table == mcg_recursion().table
-    assert homotopy_shift(rec, mcg_recursion(), T, 4) == 0
+#: letter-0 virtual endomorphism of each moduli recursion: its restriction at
+#: the vertex 0 on generators of the index-2 domain (the words fixing 0), and
+#: the generator whose coset is outside the domain
+VIRTUAL_ENDOS = {
+    "mcg": (mcg_recursion, "T", {"T T": "S' T'", "S": "T", "T' S T": "1"}),
+    "moduli-i": (moduli_i_recursion, "a", {"a a": "1", "b": "b' a'", "a' b a": "b"}),
+    "moduli-q": (
+        moduli_q_recursion, "a", {"a a": "b", "b": "b' a'", "a' b a": "b' a b"}
+    ),
+}
 
 
-def test_reconstruct_moduli_i_recursion():
-    ve = VirtualEndo(
-        alphabet=MODULI,
-        domain_gens=(A * A, B, B.conjugate(A)),
-        images=(MODULI.identity(), ~B * ~A, B),
-        coset_reps=(MODULI.identity(), A),
-        coset_of=lambda w: w.letter_count("a") & 1,
-    )
-    assert recursion_from_virtual_endo(ve).table == moduli_i_recursion().table
-
-
-def test_reconstruct_trivial_endo():
-    ve = VirtualEndo(
-        alphabet=MCG,
-        domain_gens=(T * T, S, S.conjugate(T)),
-        images=(MCG.identity(), MCG.identity(), MCG.identity()),
-        coset_reps=(MCG.identity(), T),
-        coset_of=lambda w: w.letter_count("T") & 1,
-    )
-    rec = recursion_from_virtual_endo(ve)
-    assert rec.entry("S") == WreathElem(MCG.identity(), MCG.identity(), False)
-    assert rec.entry("T").active
-
-
-def test_reconstruct_with_h_words_shifts_by_inner():
-    rec = recursion_from_virtual_endo(mcg_virtual_endo(), h_words=(MCG.identity(), T))
-    base = mcg_recursion()
-    # conjugating the coordinates moves the recursion but not its class:
-    # a shift search against the base still succeeds at 0 with the same
-    # activity pattern
-    assert [e.active for _, e in rec.table] == [e.active for _, e in base.table]
-
-
-def test_coset_inconsistency_detected():
-    with pytest.raises(CosetAssignmentError):
-        VirtualEndo(
-            alphabet=MCG,
-            domain_gens=(T * T,),
-            images=(T,),
-            coset_reps=(MCG.identity(), S),
-            coset_of=lambda w: w.letter_count("T") & 1,
-        )
+@pytest.mark.parametrize("name", VIRTUAL_ENDOS)
+def test_virtual_endomorphism_is_pinned(name):
+    factory, outside, images = VIRTUAL_ENDOS[name]
+    rec = factory()
+    parse = rec.alphabet.parse
+    assert phi_apply(rec, parse(outside)).active
+    for g, image in images.items():
+        assert not phi_apply(rec, parse(g)).active, g
+        assert restrict(rec, parse(g), "0") == parse(image), g
