@@ -27,17 +27,17 @@ from .labels import (
 from .words import AB, MCG, Alphabet, GenWord
 
 _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
-_PUNCTURE_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class RationalFamily:
     """Pull-back dynamics of one family on the thrice-punctured sphere.
 
-    ``poles`` lists the poles of ``formula`` away from the punctures, which
-    :meth:`apply` guards like the punctures.  ``loops`` maps each
-    mapping-class letter to the puncture it encircles and the traversal
-    direction (+1 counterclockwise, -1 clockwise).
+    ``poles`` lists the poles of ``formula`` away from the punctures; only
+    :func:`_decimate` reads them, to keep its discs clear of the poles as
+    well as the punctures.  ``loops`` maps each mapping-class letter to the
+    puncture it encircles and the traversal direction (+1 counterclockwise,
+    -1 clockwise).
     """
 
     family_id: str
@@ -55,13 +55,6 @@ class RationalFamily:
                 raise ValueError(f"{p} is not fixed by the {self.family_id} map")
         if min(abs(self.basepoint - p) for p, _ in self.fixed_points) >= 1e-9:
             raise ValueError("the basepoint must be one of the fixed points")
-
-    def apply(self, w: complex) -> complex:
-        """The family map, refusing points next to a puncture or a pole."""
-        for p in _PUNCTURES + self.poles:
-            if abs(w - p) < _PUNCTURE_EPS:
-                raise PunctureProximity(f"{w} is within {_PUNCTURE_EPS} of {p}")
-        return self.formula(w)
 
 
 def _newton_refine(
@@ -184,10 +177,8 @@ _SEGMENT_POINTS = 16
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Closed polyline based at the family basepoint, labelled by the
-    mapping-class letter it represents."""
+    """Closed polyline based at the family basepoint."""
 
-    label: str
     points: tuple[complex, ...]
 
     def __post_init__(self):
@@ -199,7 +190,7 @@ class LoopSpec:
                     raise ValueError(f"loop point {p} too close to puncture {q}")
 
     def reversed(self) -> "LoopSpec":
-        return LoopSpec(self.label + "'", tuple(reversed(self.points)))
+        return LoopSpec(tuple(reversed(self.points)))
 
 
 def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
@@ -218,7 +209,7 @@ def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
         pts.append(center + LOOP_RADIUS * cmath.exp(1j * ang))
     for k in range(_SEGMENT_POINTS, 0, -1):
         pts.append(base + (entry - base) * ((k - 1) / _SEGMENT_POINTS))
-    return LoopSpec(letter, tuple(pts))
+    return LoopSpec(tuple(pts))
 
 
 def word_path(fam: RationalFamily, w: GenWord) -> tuple[complex, ...]:

@@ -34,9 +34,6 @@ class GaussInt:
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> "GaussInt":
         return GaussInt(-self.re, -self.im)
 
@@ -69,9 +66,6 @@ class GaussInt:
         z = self * other.conj()
         return z.re % n == 0 and z.im % n == 0
 
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+}i"
-
 
 GI_ZERO = GaussInt(0, 0)
 GI_ONE = GaussInt(1, 0)
@@ -99,9 +93,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         k = (-self.k) & 3
         return AffineMap(k, -self.c.times_i_power(k))
-
-    def __str__(self) -> str:
-        return f"z -> i^{self.k} z + ({self.c})"
 
 
 @dataclass(frozen=True)

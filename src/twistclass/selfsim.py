@@ -25,7 +25,6 @@ only the states the previous round added.
 from __future__ import annotations
 
 import functools
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -298,18 +297,6 @@ class MooreDiagram:
     def size(self) -> int:
         return len(self.states)
 
-    def to_json(self) -> str:
-        payload = [
-            {
-                "state": str(self.states[i]),
-                "active": self.active[i],
-                "next": [str(self.states[self.next0[i]]),
-                         str(self.states[self.next1[i]])],
-            }
-            for i in range(self.size)
-        ]
-        return json.dumps({"states": payload}, indent=2, sort_keys=True)
-
     def to_dot(self) -> str:
         lines = ["digraph moore {", "  rankdir=LR;"]
         for i, s in enumerate(self.states):
@@ -376,18 +363,21 @@ def moore_diagram(
     return MooreDiagram(tuple(ordered), tuple(next0), tuple(next1), tuple(active))
 
 
-def _isomorphic(d1: MooreDiagram, d2: MooreDiagram, swap: bool) -> bool:
-    """Transition/activity-preserving bijection test, optionally with the two
-    input letters of d2 swapped.
+def automata_distinct(d1: MooreDiagram, d2: MooreDiagram) -> bool:
+    """True iff no state bijection preserves transitions and activity.
+
+    Mirror images (the two tree branches relabelled) count as distinct:
+    mirror-related recursions arise from complex-conjugate polynomials,
+    which are genuinely inequivalent.  A comparison up to the mirror also
+    compares against a copy of ``d2`` with ``next0`` and ``next1`` exchanged.
 
     The first unmapped state of d1 is tried against each unused state of d2,
     and the pair is propagated along both transitions: every state it
     reaches has a forced image, so only states that no mapped state reaches
-    are guessed."""
+    are guessed.
+    """
     if d1.size != d2.size:
-        return False
-    n0 = d2.next1 if swap else d2.next0
-    n1 = d2.next0 if swap else d2.next1
+        return True
 
     def extend(image: dict[int, int]) -> bool:
         free = next((k for k in range(d1.size) if k not in image), None)
@@ -406,30 +396,15 @@ def _isomorphic(d1: MooreDiagram, d2: MooreDiagram, swap: bool) -> bool:
                 else:
                     trial[k] = m
                     used.add(m)
-                    pairs += ((d1.next0[k], n0[m]), (d1.next1[k], n1[m]))
+                    pairs += (
+                        (d1.next0[k], d2.next0[m]), (d1.next1[k], d2.next1[m])
+                    )
             else:
                 if extend(trial):
                     return True
         return False
 
-    return extend({})
-
-
-def automata_distinct(
-    d1: MooreDiagram, d2: MooreDiagram, allow_letter_swap: bool = False
-) -> bool:
-    """True iff no state bijection preserves transitions and activity.
-
-    ``allow_letter_swap`` additionally accepts mirror images (the two tree
-    branches relabelled) as isomorphic.  It is off by default: mirror-related
-    recursions arise from complex-conjugate polynomials, which are genuinely
-    inequivalent, so the mirror must count as distinct.
-    """
-    if _isomorphic(d1, d2, False):
-        return False
-    if allow_letter_swap and _isomorphic(d1, d2, True):
-        return False
-    return True
+    return not extend({})
 
 
 # --- homotopy shift ---------------------------------------------------------

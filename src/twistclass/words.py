@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .labels import AlphabetMismatch, WordParseError
 
@@ -127,9 +127,6 @@ class GenWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -177,9 +174,6 @@ class GenWord:
 
     def exponent_sum(self, name: str) -> int:
         return sum(s for n, s in self.letters if n == name)
-
-    def letter_count(self, name: str) -> int:
-        return sum(1 for n, _ in self.letters if n == name)
 
     def sort_key(self) -> tuple:
         order = {n: i for i, n in enumerate(self.alphabet.names)}

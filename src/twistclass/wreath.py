@@ -26,19 +26,6 @@ class WreathElem:
         if self.c0.alphabet != self.c1.alphabet:
             raise AlphabetMismatch("coordinates over different alphabets")
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "WreathElem":
-        one = alphabet.identity()
-        return cls(one, one, False)
-
-    @classmethod
-    def sigma(cls, alphabet: Alphabet) -> "WreathElem":
-        one = alphabet.identity()
-        return cls(one, one, True)
-
-    def coord(self, x: int) -> GenWord:
-        return self.c0 if x == 0 else self.c1
-
     def __mul__(self, other: "WreathElem") -> "WreathElem":
         if self.active:
             return WreathElem(
@@ -112,12 +99,6 @@ class Recursion:
             tuple((n, table[n]) for n in alphabet.names),
             adding_machine,
         )
-
-    def entry(self, name: str) -> WreathElem:
-        for n, elem in self.table:
-            if n == name:
-                return elem
-        raise KeyError(f"{name!r} absent from recursion table")
 
 
 #: letters of a reduced coordinate word, and the inverse of each letter

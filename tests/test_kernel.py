@@ -64,10 +64,9 @@ def assert_valid(w: GenWord) -> None:
 
 def phi_reference(rec, w: GenWord) -> WreathElem:
     """Image of ``w`` as the product of its letters' table entries."""
-    factors = [
-        rec.entry(n) if s > 0 else ~rec.entry(n) for n, s in w.letters
-    ]
-    return reduce(WreathElem.__mul__, factors, WreathElem.identity(rec.alphabet))
+    table, one = dict(rec.table), rec.alphabet.identity()
+    factors = [table[n] if s > 0 else ~table[n] for n, s in w.letters]
+    return reduce(WreathElem.__mul__, factors, WreathElem(one, one))
 
 
 @given(word_pairs())
@@ -153,7 +152,8 @@ def test_restrict_matches_the_two_coordinate_form(case, v):
     rec, w = case
     want = w
     for ch in v:
-        want = phi_reference(rec, want).coord(int(ch))
+        elem = phi_reference(rec, want)
+        want = (elem.c0, elem.c1)[int(ch)]
     got = restrict(rec, w, v)
     assert got == want
     assert_valid(got)
@@ -166,7 +166,7 @@ def test_act_matches_the_two_coordinate_form(case, v):
     for ch in v:
         elem = phi_reference(rec, cur)
         out.append(str(1 - int(ch) if elem.active else int(ch)))
-        cur = elem.coord(int(ch))
+        cur = (elem.c0, elem.c1)[int(ch)]
     assert act(rec, w, v) == "".join(out)
 
 
@@ -176,7 +176,8 @@ def test_coordinate_step_matches_the_two_coordinate_form(case, x):
     rec, w = case
     correction = rec.alphabet.gens()[0]
     elem = phi_reference(rec, w)
-    want = correction * elem.coord(x) if elem.active else elem.coord(x)
+    coord = (elem.c0, elem.c1)[x]
+    want = correction * coord if elem.active else coord
     got = coordinate_step(rec, x, correction, w)
     assert got == want
     assert_valid(got)

@@ -61,31 +61,28 @@ def test_fixed_points_match_printed_values():
 def test_basepoints_are_fixed():
     for factory in FAMILIES.values():
         fam = factory()
-        assert abs(fam.apply(fam.basepoint) - fam.basepoint) < 1e-9
+        assert abs(fam.formula(fam.basepoint) - fam.basepoint) < 1e-9
 
 
 def test_pullback_examples():
     fam = rabbit_family()
     t = fam.basepoint
-    assert abs(fam.apply(t) - t) < 1e-9
+    assert abs(fam.formula(t) - t) < 1e-9
     fi = i_family()
-    assert abs(fi.apply(2j) - 2j) < 1e-12
+    assert abs(fi.formula(2j) - 2j) < 1e-12
     q = quater_family()
     p512 = [p for p, lbl in q.fixed_points if lbl == F512][0]
-    assert abs(q.apply(p512) - p512) < 1e-9
+    assert abs(q.formula(p512) - p512) < 1e-9
 
 
-def test_pullback_puncture_proximity():
-    fam = rabbit_family()
+def test_preimages_refuse_a_branch_through_infinity():
+    # 1 has the puncture at infinity among its preimages in both families;
+    # this is where the library raises PunctureProximity, which the CLI
+    # maps to exit 3
     with pytest.raises(PunctureProximity):
-        fam.apply(1e-12 + 0j)
+        i_family().preimages(1)
     with pytest.raises(PunctureProximity):
-        i_family().apply(1.0 + 0j)
-
-
-def test_pullback_refuses_the_quater_pole():
-    with pytest.raises(PunctureProximity):
-        quater_family().apply(-1 + 0j)
+        quater_family().preimages(1)
 
 
 def test_exact_contraction_fixes_zeta():
@@ -109,7 +106,7 @@ def test_loops_avoid_punctures_and_close():
 
 def test_loop_spec_rejects_puncture_grazing():
     with pytest.raises(ValueError):
-        LoopSpec("x", (2j, 0.01 + 0j, 2j))
+        LoopSpec((2j, 0.01 + 0j, 2j))
 
 
 def test_lift_anchor_i_family_a_loop():
@@ -258,6 +255,18 @@ def test_long_segment_is_bisected_to_the_step_tolerance():
     lifted = lift_path(fam, (a, b), fam.preimages(a)[0])
     for z, nxt in zip(lifted, lifted[1:]):
         assert abs(nxt - z) <= moduli._STEP_TOL * max(1.0, abs(z)), (z, nxt)
+    assert abs(lifted[-1] - fam.preimages(b)[0]) < 1e-12
+
+
+def test_segment_that_reaches_the_bisection_floor():
+    # on [-1, -1 - 10^8] the bisection reaches its floor and accepts three
+    # steps up to 3.4 times the scaled tolerance, since the preimages there
+    # are well apart; the point count pins the floor from both sides (30
+    # points at a floor of 25, 36 at 27)
+    fam = rabbit_family()
+    a, b = -1, -1 - 10**8
+    lifted = lift_path(fam, (a, b), fam.preimages(a)[0])
+    assert len(lifted) == 33
     assert abs(lifted[-1] - fam.preimages(b)[0]) < 1e-12
 
 

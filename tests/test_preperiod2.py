@@ -10,7 +10,6 @@ from twistclass.preperiod2 import (
     TERMINAL_LABELS,
     classify_quater,
     moduli_q_recursion,
-    printed_nucleus,
     psi_bar_q,
     quater_nucleus,
     quater_recursion,
@@ -20,7 +19,6 @@ from twistclass.preperiod2 import (
     VARIANTS,
 )
 from twistclass.selfsim import (
-    action_equal,
     automata_distinct,
     moore_diagram,
     nucleus,
@@ -34,18 +32,18 @@ ONE = MODULI.identity()
 
 
 def test_recursion_tables_match_source():
-    r = quater_recursion("F14")
-    assert r.entry("alpha") == WreathElem(~AL * ~BE, BE * AL, True)
-    assert r.entry("beta") == WreathElem(AL, PI1.identity())
-    assert r.entry("gamma") == WreathElem(GA, BE)
-    r = quater_recursion("F34")
-    assert r.entry("alpha") == WreathElem(~BE * ~AL, AL * BE, True)
-    assert r.entry("beta") == WreathElem(PI1.identity(), AL)
-    assert r.entry("gamma") == WreathElem(GA, BE)
-    r = quater_recursion("F512")
-    assert r.entry("alpha") == WreathElem(~AL * ~GA, GA * AL, True)
-    assert r.entry("beta") == WreathElem(AL, PI1.identity())
-    assert r.entry("gamma") == WreathElem(GA.conjugate(AL), BE)
+    r = dict(quater_recursion("F14").table)
+    assert r["alpha"] == WreathElem(~AL * ~BE, BE * AL, True)
+    assert r["beta"] == WreathElem(AL, PI1.identity())
+    assert r["gamma"] == WreathElem(GA, BE)
+    r = dict(quater_recursion("F34").table)
+    assert r["alpha"] == WreathElem(~BE * ~AL, AL * BE, True)
+    assert r["beta"] == WreathElem(PI1.identity(), AL)
+    assert r["gamma"] == WreathElem(GA, BE)
+    r = dict(quater_recursion("F512").table)
+    assert r["alpha"] == WreathElem(~AL * ~GA, GA * AL, True)
+    assert r["beta"] == WreathElem(AL, PI1.identity())
+    assert r["gamma"] == WreathElem(GA.conjugate(AL), BE)
 
 
 def test_adding_machines():
@@ -61,34 +59,6 @@ def test_adding_machines():
 def test_unknown_variant():
     with pytest.raises(ValueError):
         quater_recursion("F12")
-
-
-def class_count(rec, words):
-    reps = []
-    for w in sorted(words, key=lambda x: x.sort_key()):
-        if not any(action_equal(rec, w, r) for r in reps):
-            reps.append(w)
-    return reps
-
-
-def test_nuclei_match_printed_sets():
-    for v in VARIANTS:
-        rec = quater_recursion(v)
-        computed = quater_nucleus(v)
-        printed = class_count(rec, printed_nucleus(v))
-        assert len(computed) == len(printed)
-        for p in printed:
-            assert sum(1 for c in computed if action_equal(rec, p, c)) == 1
-
-
-def test_nuclei_pairwise_distinct():
-    diagrams = {}
-    for v in VARIANTS:
-        rec = quater_recursion(v)
-        diagrams[v] = moore_diagram(rec, quater_nucleus(v))
-    for x in VARIANTS:
-        for y in VARIANTS:
-            assert automata_distinct(diagrams[x], diagrams[y]) == (x != y)
 
 
 def test_moduli_q_nucleus():

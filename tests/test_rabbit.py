@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_word, reduced_words
+from conftest import psi_bar_cycles, random_word
 from twistclass.labels import AIRPLANE, CORABBIT, RABBIT
-from twistclass.moduli import classify_numeric, rabbit_family
+from twistclass.moduli import classify_numeric, quater_family, rabbit_family
+from twistclass.preperiod2 import TERMINAL_LABELS as QUATER_TERMINAL_LABELS
+from twistclass.preperiod2 import psi_bar_q
 from twistclass.rabbit import (
     ADDING_MACHINE,
     MCG,
@@ -31,16 +33,16 @@ ONE = PI1.identity()
 
 
 def test_recursion_tables_match_source():
-    r = rabbit_recursion("R")
-    assert r.entry("alpha") == WreathElem(~AL * ~BE, GA * BE * AL, True)
-    assert r.entry("beta") == WreathElem(AL, ONE)
-    assert r.entry("gamma") == WreathElem(BE, ONE)
-    a = rabbit_recursion("A")
-    assert a.entry("alpha") == WreathElem(~AL, GA * AL, True)
-    assert a.entry("gamma") == WreathElem(ONE, BE.conjugate(~GA))
-    c = rabbit_recursion("C")
-    assert c.entry("beta") == WreathElem(AL.conjugate(BE * AL), ONE)
-    assert c.entry("gamma") == WreathElem(BE.conjugate(AL), ONE)
+    r = dict(rabbit_recursion("R").table)
+    assert r["alpha"] == WreathElem(~AL * ~BE, GA * BE * AL, True)
+    assert r["beta"] == WreathElem(AL, ONE)
+    assert r["gamma"] == WreathElem(BE, ONE)
+    a = dict(rabbit_recursion("A").table)
+    assert a["alpha"] == WreathElem(~AL, GA * AL, True)
+    assert a["gamma"] == WreathElem(ONE, BE.conjugate(~GA))
+    c = dict(rabbit_recursion("C").table)
+    assert c["beta"] == WreathElem(AL.conjugate(BE * AL), ONE)
+    assert c["gamma"] == WreathElem(BE.conjugate(AL), ONE)
 
 
 def test_all_variants_share_the_adding_machine():
@@ -71,30 +73,20 @@ def test_psi_bar_st_power_formulas():
     assert psi_bar(st) == T * T
 
 
-def psi_bar_cycles(max_len):
-    """The cycle each reduced word of length <= ``max_len`` reaches under
-    psi_bar, iterating each orbit to its first revisit; words met on an
-    earlier orbit share that orbit's cycle."""
-    cycle_of = {}
-    for w in reduced_words(MCG, max_len):
-        path, index = [], {}
-        while w not in cycle_of and w not in index:
-            assert len(path) < 1024, f"orbit of {path[0]} revisits nothing"
-            index[w] = len(path)
-            path.append(w)
-            w = psi_bar(w)
-        cycle = frozenset(path[index[w]:]) if w in index else cycle_of[w]
-        cycle_of.update(dict.fromkeys(path, cycle))
-    return set(cycle_of.values())
-
-
-def test_terminal_table_is_the_set_of_psi_bar_cycles():
+@pytest.mark.parametrize(
+    "step, terminals, family",
+    [
+        pytest.param(psi_bar, TERMINAL_LABELS, rabbit_family, id="rabbit"),
+        pytest.param(psi_bar_q, QUATER_TERMINAL_LABELS, quater_family, id="quater"),
+    ],
+)
+def test_terminal_table_is_the_set_of_psi_bar_cycles(step, terminals, family):
     # the table is typed by hand; every cycle of the iterator on short words
     # must be a terminal, every terminal a cycle, and each cycle's label the
     # numeric lift's label of its shortest word
-    assert psi_bar_cycles(8) == {ts for ts, _ in TERMINAL_LABELS}
-    fam = rabbit_family()
-    for ts, label in TERMINAL_LABELS:
+    fam = family()
+    assert psi_bar_cycles(step, fam.alphabet, 8) == {ts for ts, _ in terminals}
+    for ts, label in terminals:
         shortest = min(ts, key=lambda w: w.sort_key())
         assert classify_numeric(fam, shortest) == label, str(shortest)
 

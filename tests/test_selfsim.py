@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from collections import Counter
 from functools import partial
@@ -409,9 +408,8 @@ def test_moore_serialization():
     dot = d.to_dot()
     assert "fillcolor=grey" in dot and "fillcolor=white" in dot
     assert 'label="0"' in dot and 'label="1"' in dot
-    payload = json.loads(d.to_json())
-    assert len(payload["states"]) == 7
-    assert d.to_json() == moore_diagram(rec, nucleus(rec, MCG.gens(), 100)).to_json()
+    assert dot.count("fillcolor=") == d.size == 7
+    assert dot == moore_diagram(rec, nucleus(rec, MCG.gens(), 100)).to_dot()
 
 
 # --- automaton comparison --------------------------------------------------------
@@ -435,11 +433,11 @@ def test_automata_distinct_pairs():
 
 
 def test_mirror_pair_only_merges_under_letter_swap():
-    # complex-conjugate polynomials give mirror automata; the default
-    # comparison must keep them apart
+    # complex-conjugate polynomials give mirror automata; the comparison
+    # must keep them apart, and only the letter-swapped copy matches
     dr, dc = diagram_of("R"), diagram_of("C")
     assert automata_distinct(dr, dc)
-    assert not automata_distinct(dr, dc, allow_letter_swap=True)
+    assert not automata_distinct(dr, _relabelled(dc, range(dc.size), True))
 
 
 def _random_diagram(rnd, size):
@@ -464,15 +462,14 @@ def _relabelled(d, perm, swap):
     )
 
 
-def _brute_isomorphic(d1, d2, swap):
+def _brute_isomorphic(d1, d2):
     if d1.size != d2.size:
         return False
-    n0, n1 = (d2.next1, d2.next0) if swap else (d2.next0, d2.next1)
     return any(
         all(
             d1.active[i] == d2.active[p[i]]
-            and p[d1.next0[i]] == n0[p[i]]
-            and p[d1.next1[i]] == n1[p[i]]
+            and p[d1.next0[i]] == d2.next0[p[i]]
+            and p[d1.next1[i]] == d2.next1[p[i]]
             for i in range(d1.size)
         )
         for p in itertools.permutations(range(d2.size))
@@ -481,7 +478,8 @@ def _brute_isomorphic(d1, d2, swap):
 
 def test_automata_distinct_matches_a_search_over_all_permutations():
     # each random diagram against a relabelled copy, a relabelled copy with
-    # the input letters swapped and an unrelated diagram of the same size
+    # the input letters swapped and an unrelated diagram of the same size,
+    # and against the letter-swapped copy of each of them
     rnd = random.Random(20)
     outcomes = Counter()
     for _ in range(150):
@@ -493,15 +491,21 @@ def test_automata_distinct_matches_a_search_over_all_permutations():
             _relabelled(d1, perm, True),
             _random_diagram(rnd, size),
         ):
-            for swap in (False, True):
-                expected = not (
-                    _brute_isomorphic(d1, d2, False)
-                    or swap and _brute_isomorphic(d1, d2, True)
-                )
-                assert automata_distinct(d1, d2, swap) == expected, (d1, d2, swap)
+            for d in (d2, _relabelled(d2, range(size), True)):
+                expected = not _brute_isomorphic(d1, d)
+                assert automata_distinct(d1, d) == expected, (d1, d)
                 outcomes[expected] += 1
         assert not automata_distinct(d1, _relabelled(d1, perm, False))
-        assert not automata_distinct(d1, _relabelled(d1, perm, True), True)
+        mirror = _relabelled(d1, range(size), True)
+        assert not automata_distinct(mirror, _relabelled(d1, perm, True))
+        # d1 embeds in a copy with one more state, yet they are distinct
+        grown = selfsim.MooreDiagram(
+            d1.states + (MCG.parse(f"T^{size}"),),
+            d1.next0 + (size,),
+            d1.next1 + (size,),
+            d1.active + (False,),
+        )
+        assert automata_distinct(d1, grown)
     assert min(outcomes.values()) >= 100, outcomes
 
 
