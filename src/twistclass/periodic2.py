@@ -4,7 +4,7 @@ obstructed-index iterator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .labels import (
     F_MINUS_I,
@@ -23,89 +23,39 @@ from .wreath import (
 )
 from .selfsim import is_kernel_element
 
-# --- exact Gaussian-integer arithmetic ---------------------------------------
+# --- the affine group, in exact integer arithmetic ----------------------------
 
 
-@dataclass(frozen=True)
-class GaussInt:
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def times_i_power(self, k: int) -> "GaussInt":
-        k &= 3
-        if k == 0:
-            return self
-        if k == 1:
-            return GaussInt(-self.im, self.re)
-        if k == 2:
-            return -self
-        return GaussInt(self.im, -self.re)
-
-    def divisible_by(self, other: "GaussInt") -> bool:
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian integer")
-        z = self * other.conj()
-        return z.re % n == 0 and z.im % n == 0
-
-
-GI_ZERO = GaussInt(0, 0)
-GI_ONE = GaussInt(1, 0)
-GI_I = GaussInt(0, 1)
+def _rotate(k: int, re: int, im: int) -> tuple[int, int]:
+    """The parts of i^k (re + im i)."""
+    for _ in range(k & 3):
+        re, im = -im, re
+    return re, im
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """z -> i^k z + c with exact Gaussian-integer translation part."""
+    """z -> i^k z + (re + im i), with exact integer translation parts."""
 
     k: int
-    c: GaussInt
+    re: int
+    im: int
 
     def __post_init__(self):
         object.__setattr__(self, "k", self.k & 3)
 
     @classmethod
     def identity(cls) -> "AffineMap":
-        return cls(0, GI_ZERO)
+        return cls(0, 0, 0)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self o other: ``other`` is applied first."""
-        return AffineMap((self.k + other.k) & 3, self.c + other.c.times_i_power(self.k))
+        re, im = _rotate(self.k, other.re, other.im)
+        return AffineMap(self.k + other.k, self.re + re, self.im + im)
 
     def inverse(self) -> "AffineMap":
-        k = (-self.k) & 3
-        return AffineMap(k, -self.c.times_i_power(k))
-
-
-@dataclass(frozen=True)
-class QElem:
-    """Image in the order-100 quotient: rotation mod 4, translation mod 5."""
-
-    k: int
-    cre: int
-    cim: int
-
-
-def q_reduce(m: AffineMap) -> QElem:
-    return QElem(m.k & 3, m.c.re % 5, m.c.im % 5)
+        re, im = _rotate(-self.k, self.re, self.im)
+        return AffineMap(-self.k, -re, -im)
 
 
 # --- alphabets and recursions -------------------------------------------------
@@ -166,8 +116,8 @@ _MODULI_REC = moduli_i_recursion()
 
 # --- the arithmetic classifier ------------------------------------------------
 
-_PI_A = AffineMap(2, GI_ONE)            # z -> -z + 1
-_PI_B = AffineMap(1, GaussInt(1, -1))   # z -> iz + 1 - i
+_PI_A = AffineMap(2, 1, 0)    # z -> -z + 1
+_PI_B = AffineMap(1, 1, -1)   # z -> iz + 1 - i
 _PI_IMAGES = {
     ("a", 1): _PI_A,
     ("a", -1): _PI_A.inverse(),
@@ -175,18 +125,11 @@ _PI_IMAGES = {
     ("b", -1): _PI_B.inverse(),
 }
 
-
-def _pi_step(k: int, m: AffineMap) -> tuple[int, int, int]:
-    """Composing a product of rotation ``k`` on the right with ``m`` adds
-    i^k times the translation of ``m`` and turns ``k`` into ``k + m.k``:
-    the added translation's parts and the new rotation."""
-    c = m.c.times_i_power(k)
-    return c.re, c.im, (k + m.k) & 3
-
-
-#: rotation so far -> letter -> :func:`_pi_step`
+#: rotation so far -> letter -> (new rotation, added real part, added
+#: imaginary part): the rotation composed with the letter's image
 _PI_STEPS = [
-    {letter: _pi_step(k, m) for letter, m in _PI_IMAGES.items()} for k in range(4)
+    {letter: astuple(AffineMap(k, 0, 0).compose(m)) for letter, m in _PI_IMAGES.items()}
+    for k in range(4)
 ]
 
 
@@ -197,33 +140,39 @@ def affine_image(w: GenWord) -> AffineMap:
         raise ValueError("affine_image expects a word over the a,b alphabet")
     k = re = im = 0
     for letter in w.letters:
-        dre, dim, k = _PI_STEPS[k][letter]
+        k, dre, dim = _PI_STEPS[k][letter]
         re += dre
         im += dim
-    return AffineMap(k, GaussInt(re, im))
+    return AffineMap(k, re, im)
 
 
-def q_image(w: GenWord) -> QElem:
-    """Image of a twist word in the order-100 quotient group."""
-    return q_reduce(affine_image(w))
-
-
-_C_SHIFT = GaussInt(-1, -1)  # c - i - 1, as a translation of c
-_DIV_FI = GaussInt(2, 1)
-_DIV_FMI = GaussInt(1, 2)
+def q_image(w: GenWord) -> tuple[int, int, int]:
+    """Image of a twist word in the order-100 quotient group: the rotation
+    mod 4 and the translation parts mod 5."""
+    m = affine_image(w)
+    return m.k, m.re % 5, m.im % 5
 
 
 def classify_mod5(w: GenWord) -> ClassLabel:
     """Three-way label of the rational map post-twisted by ``w``.
 
+    The twist's affine image ``z -> i^k z + c`` decides it: ``f_i`` when
+    k = 0 and 2+i does not divide c - 1 - i, ``f_-i`` when k = 1 and 1+2i
+    does not divide it, obstructed otherwise.  Both divisors are primes of
+    norm 5, so each quotient of Z[i] by one of them is the field of 5
+    elements: 2+i = 0 there sends i to -2 = 3, and 1+2i = 0 sends i to
+    -1/2 = 2.  The ring maps x + yi -> x - 2y and x + yi -> x + 2y (mod 5)
+    therefore have kernels (2+i) and (1+2i).  With x + yi = c - 1 - i,
+    divisibility by 2+i is x - 2y = 0 mod 5, by 1+2i x + 2y = 0 mod 5.
+
     The obstructed label carries no index here; see
     :func:`obstructed_index` / :func:`classify_full` for that.
     """
     m = affine_image(w)
-    shifted = m.c + _C_SHIFT
-    if m.k == 0 and not shifted.divisible_by(_DIV_FI):
+    x, y = m.re - 1, m.im - 1
+    if m.k == 0 and (x - 2 * y) % 5 != 0:
         return FI
-    if m.k == 1 and not shifted.divisible_by(_DIV_FMI):
+    if m.k == 1 and (x + 2 * y) % 5 != 0:
         return F_MINUS_I
     return obstructed()
 

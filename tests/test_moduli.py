@@ -58,12 +58,6 @@ def test_fixed_points_match_printed_values():
             assert abs(fam.formula(p) - p) < 1e-9
 
 
-def test_basepoints_are_fixed():
-    for factory in FAMILIES.values():
-        fam = factory()
-        assert abs(fam.formula(fam.basepoint) - fam.basepoint) < 1e-9
-
-
 def test_pullback_examples():
     fam = rabbit_family()
     t = fam.basepoint

@@ -2,20 +2,17 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import random_word, reduced_words
 from twistclass import periodic2
 from twistclass.labels import F_MINUS_I, FI, BoundExceeded, Diverged, obstructed
 from twistclass.periodic2 import (
     MODULI,
     PI1,
     AffineMap,
-    GaussInt,
-    GI_I,
-    GI_ONE,
-    GI_ZERO,
     a_pi1_action,
     affine_image,
     classify_full,
+    classify_mod5,
     fi_recursion,
     fstar_from_twist,
     fstar_recursion,
@@ -24,8 +21,6 @@ from twistclass.periodic2 import (
     obstructed_index,
     phi_bar,
     q_image,
-    q_reduce,
-    QElem,
 )
 from twistclass.selfsim import is_trivial_action
 from twistclass.wreath import WreathElem, restrict
@@ -37,41 +32,46 @@ ONE = MODULI.identity()
 
 # --- exact arithmetic ----------------------------------------------------------
 
-def test_gauss_int_basics():
-    z = GaussInt(3, -2)
-    assert z + GaussInt(1, 5) == GaussInt(4, 3)
-    assert z * GI_I == GaussInt(2, 3)
-    assert z.conj() == GaussInt(3, 2)
-    assert z.norm() == 13
-    assert (-z).times_i_power(2) == z
-
-
-def test_gauss_divisibility():
-    five = GaussInt(5, 0)
-    assert five.divisible_by(GaussInt(2, 1))
-    assert five.divisible_by(GaussInt(1, 2))
-    assert not GaussInt(-1, -1).divisible_by(GaussInt(2, 1))
-    with pytest.raises(ZeroDivisionError):
-        GI_ONE.divisible_by(GI_ZERO)
-
-
 def test_affine_composition_convention():
     # (k1,c1) after (k2,c2): rotation adds, translation twists by i^k1
-    m = AffineMap(1, GaussInt(2, 0)).compose(AffineMap(2, GaussInt(0, 1)))
-    assert m == AffineMap(3, GaussInt(2, 0) + GaussInt(0, 1).times_i_power(1))
+    m = AffineMap(1, 2, 0).compose(AffineMap(2, 0, 1))
+    assert m == AffineMap(3, 1, 0)  # 2 + i * i
     ident = AffineMap.identity()
-    rnd = AffineMap(3, GaussInt(-4, 7))
+    rnd = AffineMap(3, -4, 7)
     assert rnd.compose(rnd.inverse()) == ident
     assert rnd.inverse().compose(rnd) == ident
+
+
+def test_split_congruences_are_gaussian_divisibility():
+    # x + yi is divisible by d when (x + yi) * conj(d) has both parts
+    # divisible by the norm 5 of d
+    def divisible(x, y, d_re, d_im):
+        return (x * d_re + y * d_im) % 5 == 0 and (y * d_re - x * d_im) % 5 == 0
+
+    for x in range(-12, 13):
+        for y in range(-12, 13):
+            assert ((x - 2 * y) % 5 == 0) == divisible(x, y, 2, 1), (x, y)
+            assert ((x + 2 * y) % 5 == 0) == divisible(x, y, 1, 2), (x, y)
+    # and classify_mod5 splits by the long way on c - 1 - i
+    for w in reduced_words(MODULI, 5):
+        m = affine_image(w)
+        x, y = m.re - 1, m.im - 1
+        if m.k == 0 and not divisible(x, y, 2, 1):
+            want = FI
+        elif m.k == 1 and not divisible(x, y, 1, 2):
+            want = F_MINUS_I
+        else:
+            want = obstructed()
+        assert classify_mod5(w) == want, str(w)
 
 
 # --- the affine image ------------------------------------------------------------
 
 def test_affine_images_of_generators():
     assert affine_image(ONE) == AffineMap.identity()
-    assert affine_image(A) == AffineMap(2, GI_ONE)
-    assert affine_image(B) == AffineMap(1, GaussInt(1, -1))
-    assert affine_image(A * B) == AffineMap(3, GI_I)
+    assert affine_image(A) == AffineMap(2, 1, 0)
+    assert affine_image(B) == AffineMap(1, 1, -1)
+    assert affine_image(A * B) == AffineMap(3, 0, 1)
 
 
 def test_affine_image_is_antihomomorphic_on_letters():
@@ -84,13 +84,13 @@ def test_affine_image_is_antihomomorphic_on_letters():
 
 
 def test_q_image():
-    assert q_image(ONE) == QElem(0, 0, 0)
-    assert q_image(A) == QElem(2, 1, 0)
-    assert q_image(B) == QElem(1, 1, 4)
+    assert q_image(ONE) == (0, 0, 0)
+    assert q_image(A) == (2, 1, 0)
+    assert q_image(B) == (1, 1, 4)
 
 
 def test_q_has_order_100():
-    seen = {q_reduce(AffineMap.identity())}
+    seen = {(0, 0, 0)}
     frontier = [AffineMap.identity()]
     gens = [affine_image(w) for w in (A, B, ~A, ~B)]
     while frontier:
@@ -98,7 +98,7 @@ def test_q_has_order_100():
         for m in frontier:
             for g in gens:
                 m2 = m.compose(g)
-                q = q_reduce(m2)
+                q = (m2.k, m2.re % 5, m2.im % 5)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(m2)
