@@ -55,6 +55,14 @@ class RationalFamily:
                 raise ValueError(f"{p} is not fixed by the {self.family_id} map")
         if min(abs(self.basepoint - p) for p, _ in self.fixed_points) >= 1e-9:
             raise ValueError("the basepoint must be one of the fixed points")
+        # each signed letter's loop polyline without its first point, which
+        # is the basepoint; word_path concatenates these
+        by_letter = {}
+        for name in self.loops:
+            points = loop_around(self, name).points
+            by_letter[(name, 1)] = points[1:]
+            by_letter[(name, -1)] = points[-2::-1]
+        object.__setattr__(self, "_by_letter", by_letter)
 
 
 def _newton_refine(
@@ -189,9 +197,6 @@ class LoopSpec:
                 if abs(p - q) < PUNCTURE_MARGIN:
                     raise ValueError(f"loop point {p} too close to puncture {q}")
 
-    def reversed(self) -> "LoopSpec":
-        return LoopSpec(tuple(reversed(self.points)))
-
 
 def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
     """Circle of radius 0.25 around the letter's puncture, joined to the
@@ -216,11 +221,8 @@ def word_path(fam: RationalFamily, w: GenWord) -> tuple[complex, ...]:
     """Concatenated loop polyline for a mapping-class word (letters traverse
     left to right; inverse letters run their loop backwards)."""
     pts: list[complex] = [fam.basepoint]
-    for name, sign in w.letters:
-        loop = loop_around(fam, name)
-        if sign < 0:
-            loop = loop.reversed()
-        pts.extend(loop.points[1:])
+    for letter in w.letters:
+        pts.extend(fam._by_letter[letter])
     return tuple(pts)
 
 
@@ -256,7 +258,9 @@ def lift_path(
     every word of length <= 4 the two preimages lay at least 13 times the
     scaled tolerance apart in the quater family, 19.7 times in the rabbit
     family and 4.7 times in the i family; that is a measurement, not a proof
-    that each lift stays on its branch.
+    that each lift stays on its branch.  The preimages of each base point
+    are evaluated once: a bisection carries those of the segment's end to
+    its right half, so a lift makes one evaluation per lifted point.
 
     ``start`` must be a preimage of the first point (checked loosely with the
     unguarded formula: lift chains may legitimately converge to a puncture).
@@ -267,18 +271,21 @@ def lift_path(
         )
     lifted = [start]
     current = start
-    for i in range(1, len(points)):
-        stack = [(points[i - 1], points[i], 0)]
-        while stack:
-            a, b, depth = stack.pop()
-            p0, p1 = fam.preimages(b)
-            best = p0 if abs(p0 - current) <= abs(p1 - current) else p1
-            tol = _STEP_TOL * max(1.0, abs(current))
-            if abs(best - current) > tol:
+    tol = _STEP_TOL * max(1.0, abs(current))
+    pending = []  # right halves of bisected segments, with their preimages
+    a = points[0]
+    for b in points[1:]:
+        p0, p1 = fam.preimages(b)
+        depth = 0
+        while True:
+            d0, d1 = abs(p0 - current), abs(p1 - current)
+            best, step = (p0, d0) if d0 <= d1 else (p1, d1)
+            if step > tol:
                 if depth < _BISECTION_FLOOR:
-                    mid = (a + b) / 2
-                    stack.append((mid, b, depth + 1))
-                    stack.append((a, mid, depth + 1))
+                    depth += 1
+                    pending.append((b, depth, p0, p1))
+                    b = (a + b) / 2
+                    p0, p1 = fam.preimages(b)
                     continue
                 if abs(p0 - p1) < 2 * tol:
                     raise BranchAmbiguity(
@@ -287,6 +294,11 @@ def lift_path(
                     )
             current = best
             lifted.append(best)
+            tol = _STEP_TOL * max(1.0, abs(current))
+            a = b
+            if not pending:
+                break
+            b, depth, p0, p1 = pending.pop()
     return lifted
 
 
@@ -309,17 +321,19 @@ def _decimate(fam: RationalFamily, points: Sequence[complex]) -> list[complex]:
     guards = _PUNCTURES + fam.poles
 
     def radius(z: complex) -> float:
-        return _DISC_FRACTION * min(abs(z - g) for g in guards)
+        return _DISC_FRACTION * min([abs(z - g) for g in guards])
 
     anchor = points[0]
     kept = [anchor]
     reach = radius(anchor)
     inside: complex | None = None  # last point of the current run in the disc
     for z in points[1:]:
-        if inside is not None and abs(z - anchor) >= reach:
+        dist = abs(z - anchor)
+        if inside is not None and dist >= reach:
             anchor, reach, inside = inside, radius(inside), None
             kept.append(anchor)
-        if abs(z - anchor) < reach:
+            dist = abs(z - anchor)
+        if dist < reach:
             inside = z
         else:
             anchor, reach = z, radius(z)

@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
 import functools
+import hashlib
+import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_words
@@ -146,8 +148,9 @@ def test_classify_numeric_rabbit_anchors():
 
 @functools.cache
 def _numeric_runs(name):
-    """(word, label, largest lifted path) for every reduced word of length
-    1-4 in one family, shared by the agreement and budget tests."""
+    """(word, label, lift count, total lifted points, largest lifted path)
+    for every reduced word of length 1-4 in one family, shared by the
+    agreement, census and budget tests."""
     fam = FAMILIES[name]()
     sizes = []
 
@@ -160,12 +163,13 @@ def _numeric_runs(name):
     with mock.patch.object(moduli, "lift_path", counted):
         for w in reduced_words(fam.alphabet, 4, include_identity=False):
             sizes.clear()
-            runs.append((w, classify_numeric(fam, w), max(sizes)))
+            label = classify_numeric(fam, w)
+            runs.append((w, label, len(sizes), sum(sizes), max(sizes)))
     return tuple(runs)
 
 
 def test_classify_numeric_agrees_with_iterator_short_words():
-    for w, label, _ in _numeric_runs("rabbit"):
+    for w, label, *_ in _numeric_runs("rabbit"):
         assert label == classify_mcg(w), str(w)
 
 
@@ -180,7 +184,7 @@ def test_classify_numeric_quater_anchors():
 
 
 def test_classify_numeric_quater_agrees_with_iterator():
-    for w, label, _ in _numeric_runs("quater"):
+    for w, label, *_ in _numeric_runs("quater"):
         assert label == classify_quater(w), str(w)
 
 
@@ -193,8 +197,54 @@ def test_classify_numeric_obstructed_twist_runs_to_puncture():
 
 
 def test_classify_numeric_agrees_with_arithmetic_classifier():
-    for w, label, _ in _numeric_runs("i"):
+    for w, label, *_ in _numeric_runs("i"):
         assert label.kind == classify_mod5(w).kind, str(w)
+
+
+#: sha256 prefix of the lines "word label lifts points" over every reduced
+#: word of length 1-4 in each family, with the lift count and the total
+#: number of lifted points of its classification: a change to bisection,
+#: decimation or the convergence test that moves one lift changes these
+_NUMERIC_CENSUS = {
+    "i": "3d572f968e74ce44",
+    "quater": "4f7224ae9872cd13",
+    "rabbit": "c6c7e9910acbe656",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_numeric_census_is_pinned(name):
+    text = "\n".join(
+        f"{w} {label} {lifts} {points}"
+        for w, label, lifts, points, _ in _numeric_runs(name)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _NUMERIC_CENSUS[name]
+
+
+_EXACT = {"rabbit": classify_mcg, "quater": classify_quater, "i": classify_mod5}
+
+
+def _drawn_reduced_word(alphabet, length, rng):
+    """A reduced word of exactly ``length`` letters, each drawn from those
+    that do not cancel the previous one."""
+    letters = alphabet.gens() + [~g for g in alphabet.gens()]
+    w = alphabet.identity()
+    while len(w) < length:
+        longer = w * rng.choice(letters)
+        if len(longer) > len(w):
+            w = longer
+    return w
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_classify_numeric_agrees_on_drawn_longer_words(name):
+    # 12 seeded words of each length 5-8; each takes a few milliseconds
+    fam = FAMILIES[name]()
+    rng = random.Random(0)
+    for length in range(5, 9):
+        for _ in range(12):
+            w = _drawn_reduced_word(fam.alphabet, length, rng)
+            assert classify_numeric(fam, w).kind == _EXACT[name](w).kind, str(w)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -203,7 +253,7 @@ def test_lifted_paths_stay_within_point_budget(name):
     # that run out to the puncture at infinity (18,045 points for an i-family
     # word of length 3, 71,450 at length 4); the step scaled by max(1, |z|)
     # keeps every lift of every word up to length 4 at or below 1,281 points
-    for w, _, largest in _numeric_runs(name):
+    for w, *_, largest in _numeric_runs(name):
         assert largest <= 2000, str(w)
 
 
@@ -285,6 +335,16 @@ def test_word_path_concatenates_loops():
     assert abs(pts[-1] - fam.basepoint) < 1e-12
     single = loop_around(fam, "T").points
     assert len(pts) == 2 * len(single) - 1
+    for factory in FAMILIES.values():
+        fam = factory()
+        for w in reduced_words(fam.alphabet, 3):
+            expected = [fam.basepoint]
+            for name, sign in w.letters:
+                points = loop_around(fam, name).points
+                if sign < 0:
+                    points = tuple(reversed(points))
+                expected.extend(points[1:])
+            assert word_path(fam, w) == tuple(expected), str(w)
 
 
 # --- decimation of lifted paths --------------------------------------------
@@ -381,3 +441,110 @@ def test_decimated_twist_loop_winds_like_the_loop(factory, letter, centre):
     assert _winding(points, centre) == fam.loops[letter][1]
     for g in _guards(fam):
         assert _winding(kept, g) == _winding(points, g)
+
+
+# --- lift_path against the per-segment loop --------------------------------
+
+
+def plain_lift_path(fam, points, start):
+    """The lift with nothing carried over: every segment gets a fresh stack,
+    and every segment popped from it evaluates the preimages of its end,
+    also the right half of a bisected segment, whose end was evaluated
+    before the bisection."""
+    if abs(fam.formula(start) - points[0]) > 1e-5:
+        raise ValueError(
+            f"start {start} does not cover the path start {points[0]}"
+        )
+    lifted = [start]
+    current = start
+    for i in range(1, len(points)):
+        stack = [(points[i - 1], points[i], 0)]
+        while stack:
+            a, b, depth = stack.pop()
+            p0, p1 = fam.preimages(b)
+            best = p0 if abs(p0 - current) <= abs(p1 - current) else p1
+            tol = moduli._STEP_TOL * max(1.0, abs(current))
+            if abs(best - current) > tol:
+                if depth < moduli._BISECTION_FLOOR:
+                    mid = (a + b) / 2
+                    stack.append((mid, b, depth + 1))
+                    stack.append((a, mid, depth + 1))
+                    continue
+                if abs(p0 - p1) < 2 * tol:
+                    raise BranchAmbiguity(
+                        f"preimages {p0} and {p1} of {b} are closer than "
+                        f"twice the scaled step tolerance {tol}"
+                    )
+            current = best
+            lifted.append(best)
+    return lifted
+
+
+def lift_outcome(lift, fam, points, start):
+    try:
+        return lift(fam, points, start)
+    except (BranchAmbiguity, ValueError) as err:  # PunctureProximity too
+        return type(err), str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polylines())
+def test_lift_path_matches_the_plain_lift(case):
+    fam, points = case
+    start = fam.preimages(points[0])[0]
+    assert lift_outcome(lift_path, fam, points, start) == lift_outcome(
+        plain_lift_path, fam, points, start
+    )
+
+
+@pytest.mark.parametrize("current, step, close, apart", _GUARD_CASES)
+def test_guard_cases_match_the_plain_lift(monkeypatch, current, step, close, apart):
+    monkeypatch.setattr(moduli, "_BISECTION_FLOOR", 4)
+    p0 = current + step
+    outcomes = []
+    for separation in (close, apart):
+        fam = _constant_preimages(p0, p0 + separation)
+        args = (fam, (fam.formula(current), 3j), current)
+        outcomes.append(lift_outcome(plain_lift_path, *args))
+        assert lift_outcome(lift_path, *args) == outcomes[-1]
+    # the close pair raised, the apart pair lifted
+    assert outcomes[0][0] is BranchAmbiguity and outcomes[1][-1] == p0
+
+
+@pytest.mark.parametrize("far, floor", [
+    (10**6, 26), (10**6, 8), (10**8, 26), (10**8, 2),
+])
+def test_bisection_floor_cases_match_the_plain_lift(monkeypatch, far, floor):
+    # the two segments of the bisection tests, at the default floor and at a
+    # floor low enough to raise BranchAmbiguity
+    monkeypatch.setattr(moduli, "_BISECTION_FLOOR", floor)
+    fam = rabbit_family()
+    args = (fam, (-1, -1 - far), fam.preimages(-1)[0])
+    assert lift_outcome(lift_path, *args) == lift_outcome(plain_lift_path, *args)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_lift_path_evaluates_each_lifted_point_once(name):
+    base = FAMILIES[name]()
+    evaluations = 0
+
+    def counted_preimages(v):
+        nonlocal evaluations
+        evaluations += 1
+        return base.preimages(v)
+
+    fam = dataclasses.replace(base, preimages=counted_preimages)
+    per_lift = []
+
+    def counted_lift(*args, **kwargs):
+        before = evaluations
+        lifted = lift_path(*args, **kwargs)
+        per_lift.append((evaluations - before, len(lifted) - 1))
+        return lifted
+
+    with mock.patch.object(moduli, "lift_path", counted_lift):
+        for w in reduced_words(fam.alphabet, 3, include_identity=False):
+            classify_numeric(fam, w)
+    assert per_lift
+    for made, lifted_points in per_lift:
+        assert made == lifted_points
