@@ -33,28 +33,26 @@ _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
 class RationalFamily:
     """Pull-back dynamics of one family on the thrice-punctured sphere.
 
-    ``poles`` lists the poles of ``formula`` away from the punctures; only
-    :func:`_decimate` reads them, to keep its discs clear of the poles as
-    well as the punctures.  ``loops`` maps each mapping-class letter to the
-    puncture it encircles and the traversal direction (+1 counterclockwise,
-    -1 clockwise).
+    ``fixed_points`` lists the three fixed points of ``formula``, the roots
+    of one cubic, each with the class it labels; the first is the
+    basepoint, where every twist loop starts.  ``poles`` lists the poles of
+    ``formula`` away from the punctures; only :func:`_decimate` reads them,
+    to keep its discs clear of the poles as well as the punctures.
+    ``loops`` maps each mapping-class letter to the puncture it encircles
+    and the traversal direction (+1 counterclockwise, -1 clockwise).
     """
 
-    family_id: str
     alphabet: Alphabet
     poles: tuple[complex, ...]
     formula: Callable[[complex], complex]
     preimages: Callable[[complex], tuple[complex, complex]]
-    basepoint: complex
     fixed_points: tuple[tuple[complex, ClassLabel], ...]
     loops: dict[str, tuple[complex, int]]
 
     def __post_init__(self):
         for p, _ in self.fixed_points:
-            if abs(self.formula(p) - p) >= 1e-9:
-                raise ValueError(f"{p} is not fixed by the {self.family_id} map")
-        if min(abs(self.basepoint - p) for p, _ in self.fixed_points) >= 1e-9:
-            raise ValueError("the basepoint must be one of the fixed points")
+            if abs(self.formula(p) - p) >= 1e-15:
+                raise ValueError(f"{p} is not fixed by the pull-back map")
         # each signed letter's loop polyline without its first point, which
         # is the basepoint; word_path concatenates these
         by_letter = {}
@@ -64,43 +62,32 @@ class RationalFamily:
             by_letter[(name, -1)] = points[-2::-1]
         object.__setattr__(self, "_by_letter", by_letter)
 
-
-def _newton_refine(
-    f: Callable[[complex], complex], df: Callable[[complex], complex], z: complex
-) -> complex:
-    for _ in range(60):
-        step = (f(z) - z) / (df(z) - 1)
-        z = z - step
-        if abs(step) < 1e-15:
-            break
-    return z
+    @property
+    def basepoint(self) -> complex:
+        return self.fixed_points[0][0]
 
 
 def rabbit_family() -> RationalFamily:
     def raw(w: complex) -> complex:
         return 1 - 1 / (w * w)
 
-    def df(w: complex) -> complex:
-        return 2 / w**3
-
     def pre(v: complex) -> tuple[complex, complex]:
-        r = cmath.sqrt(1 / (1 - v))
+        d = 1 - v
+        if abs(d) < 1e-14:
+            raise PunctureProximity(f"preimage of {v} runs through infinity")
+        r = cmath.sqrt(1 / d)
         return (r, -r)
 
-    rabbit = _newton_refine(raw, df, 0.8774 + 0.7449j)
-    corabbit = _newton_refine(raw, df, 0.8774 - 0.7449j)
-    airplane = _newton_refine(raw, df, -0.7549 + 0j)
     return RationalFamily(
-        family_id="rabbit",
         alphabet=MCG,
         poles=(),
         formula=raw,
         preimages=pre,
-        basepoint=rabbit,
+        # the roots of w^3 - w^2 + 1
         fixed_points=(
-            (rabbit, RABBIT),
-            (corabbit, CORABBIT),
-            (airplane, AIRPLANE),
+            (0.8774388331233464 + 0.7448617666197442j, RABBIT),
+            (0.8774388331233464 - 0.7448617666197442j, CORABBIT),
+            (-0.7548776662466927 + 0j, AIRPLANE),
         ),
         # the two twist loops run around the punctures in the negative
         # (clockwise) direction; calibrated once against the twist anchors
@@ -121,12 +108,11 @@ def i_family() -> RationalFamily:
         return (2 / lo, 2 / hi)
 
     return RationalFamily(
-        family_id="i",
         alphabet=AB,
         poles=(),
         formula=raw,
         preimages=pre,
-        basepoint=2j,
+        # the roots of (w - 1)(w^2 + 4)
         fixed_points=(
             (2j, FI),
             (-2j, F_MINUS_I),
@@ -141,9 +127,6 @@ def quater_family() -> RationalFamily:
         z = (w - 1) / (w + 1)
         return z * z
 
-    def df(w: complex) -> complex:
-        return 4 * (w - 1) / (w + 1) ** 3
-
     def pre(v: complex) -> tuple[complex, complex]:
         r = cmath.sqrt(v)
         lo, hi = 1 - r, 1 + r
@@ -151,17 +134,17 @@ def quater_family() -> RationalFamily:
             raise PunctureProximity(f"preimage of {v} runs through infinity")
         return ((1 + r) / lo, (1 - r) / hi)
 
-    p14 = _newton_refine(raw, df, -0.6478 + 1.7214j)
-    p34 = _newton_refine(raw, df, -0.6478 - 1.7214j)
-    p512 = _newton_refine(raw, df, 0.2956 + 0j)
     return RationalFamily(
-        family_id="quater",
         alphabet=AB,
         poles=(-1 + 0j,),
         formula=raw,
         preimages=pre,
-        basepoint=p14,
-        fixed_points=((p14, F14), (p34, F34), (p512, F512)),
+        # the roots of w^3 + w^2 + 3w - 1
+        fixed_points=(
+            (-0.6477988712610424 + 1.7214332372471366j, F14),
+            (-0.6477988712610424 - 1.7214332372471366j, F34),
+            (0.2955977425220847 + 0j, F512),
+        ),
         loops={"a": (0.0 + 0.0j, 1), "b": (1.0 + 0.0j, 1)},
     )
 

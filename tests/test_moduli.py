@@ -49,6 +49,14 @@ PRINTED = {
     "quater": [-0.6478 + 1.7214j, -0.6478 - 1.7214j, 0.2956],
 }
 
+#: the cubic whose roots are each family's fixed points: w = formula(w)
+#: cleared of denominators
+CUBICS = {
+    "rabbit": lambda w: w**3 - w**2 + 1,
+    "i": lambda w: (w - 1) * (w**2 + 4),
+    "quater": lambda w: w**3 + w**2 + 3 * w - 1,
+}
+
 
 def test_fixed_points_match_printed_values():
     for name, factory in FAMILIES.items():
@@ -58,6 +66,10 @@ def test_fixed_points_match_printed_values():
             assert min(abs(p - printed) for p, _ in fam.fixed_points) < 1e-3
         for p, _ in fam.fixed_points:
             assert abs(fam.formula(p) - p) < 1e-9
+            assert abs(CUBICS[name](p)) <= 4e-15
+        first_point, first_label = fam.fixed_points[0]
+        assert fam.basepoint == first_point
+        assert classify_numeric(fam, fam.alphabet.identity()) == first_label
 
 
 def test_pullback_examples():
@@ -72,13 +84,15 @@ def test_pullback_examples():
 
 
 def test_preimages_refuse_a_branch_through_infinity():
-    # 1 has the puncture at infinity among its preimages in both families;
+    # 1 has the puncture at infinity among its preimages in every family;
     # this is where the library raises PunctureProximity, which the CLI
     # maps to exit 3
+    for factory in FAMILIES.values():
+        with pytest.raises(PunctureProximity, match="runs through infinity"):
+            factory().preimages(1)
+    fam = rabbit_family()
     with pytest.raises(PunctureProximity):
-        i_family().preimages(1)
-    with pytest.raises(PunctureProximity):
-        quater_family().preimages(1)
+        lift_path(fam, [fam.basepoint, 1 + 0j], fam.basepoint)
 
 
 def test_exact_contraction_fixes_zeta():
