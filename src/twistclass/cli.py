@@ -30,8 +30,8 @@ from .words import MAX_WORD_LENGTH, GenWord
 from .wreath import Recursion, iterate_to_terminal, phi_apply
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
-#: marks recursions whose nuclei only exist over the group of tree actions
-#: (their word-level nuclei are infinite)
+#: takes a nucleus up to action, where the word-level one is infinite
+#: (squares of generators fix subtrees yet keep non-trivial restrictions)
 RECURSIONS: dict[str, tuple[Callable[[], Recursion], bool]] = {
     "rabbit": (lambda: rabbit.rabbit_recursion("R"), False),
     "airplane": (lambda: rabbit.rabbit_recursion("A"), False),
@@ -339,6 +339,10 @@ def main(argv: list[str] | None = None) -> int:
                 payload.update(witness=str(exc.state), vertex=exc.vertex)
             print(json.dumps(payload, sort_keys=True))
         return 3
+    except ValueError as exc:
+        # an argument the library refuses, such as a --tol too wide
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .labels import (
     F_MINUS_I,
     FI,
     RABBIT,
+    AlphabetMismatch,
     BranchAmbiguity,
     ClassLabel,
     Diverged,
@@ -337,10 +338,12 @@ def classify_numeric(
 
     Lifts the twist path repeatedly (each lift continues from the previous
     endpoint and lifts the previously lifted path), until three consecutive
-    lifted paths contract entirely into the ``tol``-ball of one fixed point.
-    Judging the endpoint alone is not enough: a twist whose first iterates
-    fix the basepoint sheet parks its endpoints exactly on the base fixed
-    point for several lifts before the dynamics moves away.
+    lifted paths contract entirely into the ``tol``-ball of one fixed point;
+    ``tol`` must be below half the least distance between two fixed points,
+    which keeps the balls disjoint.  Judging the endpoint alone is not
+    enough: a twist whose first iterates fix the basepoint sheet parks its
+    endpoints exactly on the base fixed point for several lifts before the
+    dynamics moves away.
 
     Each lift bisects the base path under the step tolerance of
     :func:`lift_path`.  Bisection only adds points, so each lifted
@@ -354,7 +357,14 @@ def classify_numeric(
     undecimated lift.
     """
     if w.alphabet != fam.alphabet:
-        raise ValueError(f"word must be over {fam.alphabet.names}")
+        raise AlphabetMismatch(f"word must be over {fam.alphabet.names}")
+    points = [p for p, _ in fam.fixed_points]
+    reach = min(abs(p - q) for i, p in enumerate(points) for q in points[:i]) / 2
+    if not tol < reach:
+        raise ValueError(
+            f"tol must be below {reach:.4g}, half the least distance between "
+            f"two fixed points, got {tol:g}"
+        )
     if w.is_identity:
         return _nearest_label(fam, [fam.basepoint], tol)
 

@@ -9,6 +9,7 @@ from dataclasses import astuple, dataclass
 from .labels import (
     F_MINUS_I,
     FI,
+    AlphabetMismatch,
     BoundExceeded,
     ClassLabel,
     obstructed,
@@ -81,24 +82,15 @@ def fi_recursion() -> Recursion:
     return Recursion.make(PI1, table, ADDING_MACHINE)
 
 
-def fstar_recursion() -> Recursion:
-    """Recursion of the obstructed model map in this family."""
-    table = {
-        "alpha": WreathElem(~_AL, _AL, True),
-        "beta": WreathElem(_AL, _GA),
-        "gamma": WreathElem(_ONE, _GA * _BE * ~_GA),
-    }
-    return Recursion.make(PI1, table, ADDING_MACHINE)
-
-
 def a_pi1_action() -> Endo:
     """Action of the twist ``a`` on the fundamental-group generators: the
     Dehn twist about the curve ``gamma^beta alpha``."""
     return dehn_twist((_GA.conjugate(_BE), _AL), 1)
 
 
-def fstar_from_twist() -> Recursion:
-    """The obstructed model rebuilt by post-twisting the rational recursion."""
+def fstar_recursion() -> Recursion:
+    """Recursion of the obstructed model map in this family: the rational
+    recursion post-twisted by ``a``."""
     return substitute_recursion(fi_recursion(), a_pi1_action())
 
 
@@ -137,7 +129,7 @@ def affine_image(w: GenWord) -> AffineMap:
     """Image of a twist word in the affine group, letters composed so that
     the rightmost letter acts first."""
     if w.alphabet != MODULI:
-        raise ValueError("affine_image expects a word over the a,b alphabet")
+        raise AlphabetMismatch("affine_image expects a word over the a,b alphabet")
     k = re = im = 0
     for letter in w.letters:
         k, dre, dim = _PI_STEPS[k][letter]

@@ -4,7 +4,7 @@ known nuclei, the moduli iterator, and the classifier."""
 from __future__ import annotations
 
 from .labels import F14, F34, F512, ClassLabel
-from .words import AB, PI1, Endo, GenWord, dehn_twist, fold_actions
+from .words import AB, PI1, Endo, GenWord, twist_action
 from .wreath import (
     Recursion,
     WreathElem,
@@ -12,7 +12,6 @@ from .wreath import (
     iterate_to_terminal,
     substitute_recursion,
 )
-from .selfsim import nucleus
 
 MODULI = AB
 
@@ -20,7 +19,7 @@ _AL, _BE, _GA = PI1.gens()
 _A, _B = MODULI.gens()
 _ONE = PI1.identity()
 
-VARIANTS = ("F14", "F34", "F512")
+VARIANTS = {"F14": F14, "F34": F34, "F512": F512}
 
 #: circle-at-infinity words, per variant (each maps to <1, itself>.sigma)
 ADDING_MACHINES = {
@@ -51,12 +50,8 @@ def quater_recursion(variant: str) -> Recursion:
             "gamma": WreathElem(_GA.conjugate(_AL), _BE),
         }
     else:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     return Recursion.make(PI1, table, ADDING_MACHINES[variant])
-
-
-def variant_label(variant: str) -> ClassLabel:
-    return {"F14": F14, "F34": F34, "F512": F512}[variant]
 
 
 def printed_nucleus(variant: str) -> set[GenWord]:
@@ -84,23 +79,12 @@ def printed_nucleus(variant: str) -> set[GenWord]:
             _BE * _GA * _AL,
         ]
     else:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     out = {_ONE}
     for w in core:
         out.add(w)
         out.add(~w)
     return out
-
-
-def quater_nucleus(variant: str, bound: int = 10000) -> set[GenWord]:
-    """Nucleus of a built-in recursion, over the group of tree actions.
-
-    The word-level nucleus of these recursions is infinite (squares of the
-    generators fix subtrees while keeping non-trivial restriction words), so
-    states are identified by their action, the group the known nuclei
-    live in.
-    """
-    return nucleus(quater_recursion(variant), PI1.gens(), bound, up_to_action=True)
 
 
 def moduli_q_recursion() -> Recursion:
@@ -147,23 +131,17 @@ def classify_quater(w: GenWord, max_iters: int = 64) -> ClassLabel:
 
 #: the moduli generators as loops whose product is their curve: ``a`` twists
 #: about the (critical value, fixed point) pair and ``b`` about the (middle
-#: point, fixed point) pair.  Both twists are left-handed and fix the circle
-#: word of the family exactly; the chirality and curve positions are pinned
-#: by the nucleus oracle against the numeric classifier (unique match over
-#: all convention choices).
+#: point, fixed point) pair
 TWIST_CURVES = {"a": (_AL, _GA), "b": (_BE, _AL * _GA * ~_AL)}
-
-_LETTER_ACTIONS = {
-    (name, sign): dehn_twist(loops, -sign)
-    for name, loops in TWIST_CURVES.items()
-    for sign in (1, -1)
-}
 
 
 def word_action(w: GenWord) -> Endo:
     """Action of a twist word on the fundamental group, letters applied
     left to right."""
-    return fold_actions(MODULI, _LETTER_ACTIONS, w)
+    # both twists are left-handed and fix the family's circle word; the
+    # nucleus oracle against the numeric classifier pins the chirality and
+    # curve positions (the unique match over all convention choices)
+    return twist_action(TWIST_CURVES, -1, w)
 
 
 def twisted_quater_recursion(variant: str, w: GenWord) -> Recursion:

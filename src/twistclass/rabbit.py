@@ -4,7 +4,7 @@ mapping-class iterator, and the twist-power classifiers."""
 from __future__ import annotations
 
 from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel
-from .words import MCG, PI1, Endo, GenWord, dehn_twist, fold_actions
+from .words import MCG, PI1, Endo, GenWord, twist_action
 from .wreath import (
     Recursion,
     WreathElem,
@@ -21,7 +21,7 @@ _ONE = PI1.identity()
 #: it to <1, itself>.sigma
 ADDING_MACHINE = _GA * _BE * _AL
 
-VARIANTS = ("R", "A", "C")
+VARIANTS = {"R": RABBIT, "A": AIRPLANE, "C": CORABBIT}
 
 
 def rabbit_recursion(variant: str = "R") -> Recursion:
@@ -45,29 +45,19 @@ def rabbit_recursion(variant: str = "R") -> Recursion:
             "gamma": WreathElem(_BE.conjugate(_AL), _ONE),
         }
     else:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {variant!r}")
     return Recursion.make(PI1, table, ADDING_MACHINE)
-
-
-def variant_label(variant: str) -> ClassLabel:
-    return {"R": RABBIT, "A": AIRPLANE, "C": CORABBIT}[variant]
 
 
 #: the twists T and S as loops whose product is their curve: T twists about
 #: the curve around the first two punctures, S about the last two
 TWIST_CURVES = {"T": (_BE, _AL), "S": (_GA, _BE)}
 
-_LETTER_ACTIONS = {
-    (name, sign): dehn_twist(loops, sign)
-    for name, loops in TWIST_CURVES.items()
-    for sign in (1, -1)
-}
-
 
 def mcg_word_action(w: GenWord) -> Endo:
     """Action of a mapping-class word on the fundamental group, letters
     applied left to right."""
-    return fold_actions(MCG, _LETTER_ACTIONS, w)
+    return twist_action(TWIST_CURVES, 1, w)
 
 
 def twisted_rabbit_recursion(m: int) -> Recursion:

@@ -267,14 +267,15 @@ def dehn_twist(loops: Iterable[GenWord], power: int) -> Endo:
     return Endo.make(alphabet, images)
 
 
-def fold_actions(source: Alphabet, actions: dict[Letter, Endo], w: GenWord) -> Endo:
-    """Action of a word over ``source`` whose letters act by ``actions``,
-    letters applied left to right."""
-    if w.alphabet != source:
-        raise AlphabetMismatch(f"expected a word over {source.names}: {w}")
-    out = Endo.identity(next(iter(actions.values())).alphabet)
-    for letter in w.letters:
-        out = out.then(actions[letter])
+def twist_action(curves: dict[str, tuple[GenWord, ...]], hand: int, w: GenWord) -> Endo:
+    """Action of a word of Dehn twists, letters applied left to right: the
+    letter ``name`` is the ``hand``-th power twist about the curve of the
+    loops ``curves[name]`` (:func:`dehn_twist`), its inverse the ``-hand``-th."""
+    if set(w.alphabet.names) != curves.keys():
+        raise AlphabetMismatch(f"expected a word over {tuple(curves)}: {w}")
+    out = Endo.identity(next(iter(curves.values()))[0].alphabet)
+    for name, sign in w.letters:
+        out = out.then(dehn_twist(curves[name], sign * hand))
     return out
 
 

@@ -266,7 +266,7 @@ def test_criterion_12_corrected_orbits_and_printed_nuclei():
     diagrams = {}
     for v in preperiod2.VARIANTS:
         rec = preperiod2.quater_recursion(v)
-        computed = preperiod2.quater_nucleus(v)
+        computed = nucleus(rec, rec.alphabet.gens(), up_to_action=True)
         printed = preperiod2.printed_nucleus(v)
         reps = []
         for p in sorted(printed, key=lambda x: x.sort_key()):

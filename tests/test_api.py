@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import twistclass
 
 #: the names ``from twistclass import *`` exports; removing or adding one is
@@ -19,3 +22,26 @@ def test_public_api_is_pinned():
     assert len(set(names)) == len(names)
     for name in names:
         assert getattr(twistclass, name) is not None, name
+
+
+def test_every_imported_name_is_used():
+    # an import that nothing in its module reads is a leftover of a deletion
+    unused = []
+    for path in sorted(Path(twistclass.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []

@@ -10,10 +10,8 @@ from twistclass.preperiod2 import (
     classify_quater,
     moduli_q_recursion,
     psi_bar_q,
-    quater_nucleus,
     quater_recursion,
     twisted_quater_recursion,
-    variant_label,
     word_action,
     VARIANTS,
 )
@@ -53,6 +51,11 @@ def test_adding_machines():
     }
     for v in VARIANTS:
         assert quater_recursion(v).adding_machine == ADDING_MACHINES[v]
+
+
+def test_variant_labels():
+    assert VARIANTS == {"F14": F14, "F34": F34, "F512": F512}
+    assert list(VARIANTS) == ["F14", "F34", "F512"]
 
 
 def test_unknown_variant():
@@ -135,7 +138,9 @@ def test_calibration_against_nucleus_oracle():
     base = {}
     for v in VARIANTS:
         rec = quater_recursion(v)
-        base[variant_label(v)] = moore_diagram(rec, quater_nucleus(v))
+        base[VARIANTS[v]] = moore_diagram(
+            rec, nucleus(rec, rec.alphabet.gens(), up_to_action=True)
+        )
     for w in (A, ~A, B, ~A * B, A * B):
         label = classify_quater(w)
         rec = twisted_quater_recursion("F14", w)

@@ -22,7 +22,7 @@ from twistclass.rabbit import (
     rabbit_recursion,
     twisted_mcg_recursion,
     twisted_rabbit_recursion,
-    variant_label,
+    VARIANTS,
 )
 from twistclass.selfsim import automata_distinct, moore_diagram, nucleus
 from twistclass.wreath import WreathElem, phi_apply
@@ -171,9 +171,8 @@ def test_nuclei_pairwise_distinct_under_small_bounds():
 
 
 def test_variant_labels():
-    assert variant_label("R") == RABBIT
-    assert variant_label("A") == AIRPLANE
-    assert variant_label("C") == CORABBIT
+    assert VARIANTS == {"R": RABBIT, "A": AIRPLANE, "C": CORABBIT}
+    assert list(VARIANTS) == ["R", "A", "C"]
 
 
 def test_twisted_recursion_classification_consistency():
@@ -194,7 +193,7 @@ def test_twisted_recursions_have_the_classified_nucleus():
     variant_diagrams = {}
     for v in ("R", "A", "C"):
         rec = rabbit_recursion(v)
-        variant_diagrams[variant_label(v)] = moore_diagram(
+        variant_diagrams[VARIANTS[v]] = moore_diagram(
             rec, nucleus(rec, PI1.gens(), 200, up_to_action=True)
         )
     for m in range(-4, 6):
@@ -211,7 +210,7 @@ def test_word_twisted_recursions_have_the_classified_nucleus():
     variant_diagrams = {}
     for v in ("R", "A", "C"):
         rec = rabbit_recursion(v)
-        variant_diagrams[variant_label(v)] = moore_diagram(
+        variant_diagrams[VARIANTS[v]] = moore_diagram(
             rec, nucleus(rec, PI1.gens(), 200, up_to_action=True)
         )
     for text in ("T S", "T' S", "S T T", "S' T'", "T T S'", "S' S' T"):

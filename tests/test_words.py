@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,9 +14,15 @@ from twistclass.words import (
     GenWord,
     dehn_twist,
 )
-from twistclass.periodic2 import a_pi1_action
-from twistclass.preperiod2 import MODULI, word_action
-from twistclass.rabbit import MCG, PI1, mcg_word_action
+from twistclass import moduli, periodic2, wreath
+from twistclass.periodic2 import a_pi1_action, fstar_recursion
+from twistclass.preperiod2 import (
+    MODULI,
+    VARIANTS,
+    twisted_quater_recursion,
+    word_action,
+)
+from twistclass.rabbit import MCG, PI1, mcg_word_action, twisted_mcg_recursion
 
 AL, BE, GA = PI1.gens()
 T, S = MCG.gens()
@@ -114,6 +121,36 @@ def test_twist_actions_pin_their_generator_images(name):
         assert action(g) == PI1.parse(image), str(g)
 
 
+#: sha256 over every twisted table, twist action and f* below, computed
+#: before the twist actions were folded into one routine
+TWIST_TABLES_DIGEST = "cf472970ae5ab63c6fe78795a9fee2815f81e4332d03e0c5bc006cff1867aee0"
+
+
+def test_twisted_tables_are_pinned():
+    # the twisted recursion and twist action of every reduced word of length
+    # <= 3 in both moduli alphabets, each quater variant, and f*: 212 tables
+    h = hashlib.sha256()
+
+    def add(*parts):
+        h.update(("|".join(map(str, parts)) + "\n").encode())
+
+    def add_recursion(*key, rec):
+        add(*key, *(f"{n}={e}" for n, e in rec.table), rec.adding_machine)
+
+    def add_action(*key, action):
+        add(*key, *(f"{n}={img}" for n, img in action.images))
+
+    for w in reduced_words(MCG, 3):
+        add_recursion("mcg", w, rec=twisted_mcg_recursion(w))
+        add_action("mcg", w, action=mcg_word_action(w))
+    for w in reduced_words(MODULI, 3):
+        add_action("ab", w, action=word_action(w))
+        for v in VARIANTS:
+            add_recursion(v, w, rec=twisted_quater_recursion(v, w))
+    add_recursion("fstar", rec=fstar_recursion())
+    assert h.hexdigest() == TWIST_TABLES_DIGEST
+
+
 def test_dehn_twist_about_one_puncture_is_trivial():
     for g in PI1.gens():
         for power in (1, -1, 3):
@@ -173,6 +210,31 @@ def test_endo_composition_convention():
     for _ in range(30):
         w = random_word(PI1, 8, rng)
         assert e1.then(e2)(w) == e2(e1(w))
+
+
+#: public entry points that take a word over one family alphabet, each
+#: called with a word over another
+WRONG_ALPHABET_CALLS = {
+    "affine_image": lambda: periodic2.affine_image(T),
+    "q_image": lambda: periodic2.q_image(T),
+    "classify_mod5": lambda: periodic2.classify_mod5(T),
+    "classify_full": lambda: periodic2.classify_full(T),
+    "classify_numeric": lambda: moduli.classify_numeric(moduli.i_family(), T),
+    "phi_apply": lambda: wreath.phi_apply(periodic2.fi_recursion(), T),
+    "coordinate_step": lambda: wreath.coordinate_step(
+        periodic2.moduli_i_recursion(), 1, AB.gen("a"), T
+    ),
+    "restrict": lambda: wreath.restrict(periodic2.fi_recursion(), T, "0"),
+    "act": lambda: wreath.act(periodic2.fi_recursion(), T, "0"),
+    "mcg_word_action": lambda: mcg_word_action(AB.gen("a")),
+    "word_action": lambda: word_action(T),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ALPHABET_CALLS)
+def test_a_word_over_the_wrong_alphabet_raises_alphabet_mismatch(name):
+    with pytest.raises(AlphabetMismatch):
+        WRONG_ALPHABET_CALLS[name]()
 
 
 def test_alphabet_mismatch_raises():
