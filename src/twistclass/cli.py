@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Callable
 
@@ -183,9 +182,7 @@ def _cmd_moduli(args) -> int:
     w = fam.alphabet.parse(args.word)
     trace: list[tuple[int, complex]] = []
     try:
-        label = moduli.classify_numeric(
-            fam, w, max_lifts=args.max_lifts, tol=args.tol, trace=trace
-        )
+        label = moduli.classify_numeric(fam, w, max_lifts=args.max_lifts, trace=trace)
     finally:
         # written on a give-up too, when the lifts so far matter most; a
         # write error replaces the give-up and exits 2
@@ -199,18 +196,6 @@ def _cmd_moduli(args) -> int:
     _emit(args, payload,
           f"{args.family} family, twist {text}: {label} ({len(trace)} lifts)")
     return 0
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, got {text!r}"
-        )
-    return value
 
 
 def _int_between(low: int, high: int | None = None) -> Callable[[str], int]:
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify-i", max_iters, help="classify a preperiod-1 twist")
     p.add_argument("word", help="word over a, b")
     p.add_argument("--k-max", type=_int_between(0), default=64,
-                   help="largest obstructed index searched")
+                   help="largest obstructed index reported")
     p.set_defaults(func=_cmd_classify_i)
 
     p = add("classify-quater", max_iters, help="classify a preperiod-2 twist")
@@ -307,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("moduli", help="numeric classification via pull-back")
     p.add_argument("family", choices=sorted(moduli.FAMILIES))
     p.add_argument("word")
-    p.add_argument("--tol", type=_positive_float, default=1e-6,
-                   help="fixed-point convergence tolerance")
     p.add_argument("--max-lifts", type=_positive_int, default=200)
     p.add_argument("--trace-file", help="write the lift trajectory here")
     p.set_defaults(func=_cmd_moduli)
@@ -339,10 +322,6 @@ def main(argv: list[str] | None = None) -> int:
                 payload.update(witness=str(exc.state), vertex=exc.vertex)
             print(json.dumps(payload, sort_keys=True))
         return 3
-    except ValueError as exc:
-        # an argument the library refuses, such as a --tol too wide
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ from .labels import (
 from .words import AB, MCG, Alphabet, GenWord
 
 _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
+#: a lifted path within this distance of a fixed point has reached it
+_CONVERGENCE_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,11 @@ class RationalFamily:
 
     ``fixed_points`` lists the three fixed points of ``formula``, the roots
     of one cubic, each with the class it labels; the first is the
-    basepoint, where every twist loop starts.  ``poles`` lists the poles of
-    ``formula`` away from the punctures; only :func:`_decimate` reads them,
-    to keep its discs clear of the poles as well as the punctures.
+    basepoint, where every twist loop starts.  Their balls of radius
+    ``_CONVERGENCE_RADIUS`` must be disjoint, so a lifted path reaches at
+    most one of them.  ``poles`` lists the poles of ``formula`` away from
+    the punctures; only :func:`_decimate` reads them, to keep its discs
+    clear of the poles as well as the punctures.
     ``loops`` maps each mapping-class letter to the puncture it encircles
     and the traversal direction (+1 counterclockwise, -1 clockwise).
     """
@@ -51,9 +55,16 @@ class RationalFamily:
     loops: dict[str, tuple[complex, int]]
 
     def __post_init__(self):
-        for p, _ in self.fixed_points:
+        points = [p for p, _ in self.fixed_points]
+        for p in points:
             if abs(self.formula(p) - p) >= 1e-15:
                 raise ValueError(f"{p} is not fixed by the pull-back map")
+        reach = min(abs(p - q) for i, p in enumerate(points) for q in points[:i]) / 2
+        if not _CONVERGENCE_RADIUS < reach:
+            raise ValueError(
+                f"convergence radius {_CONVERGENCE_RADIUS:g} is not below "
+                f"{reach:.4g}, half the least distance between two fixed points"
+            )
         # each signed letter's loop polyline without its first point, which
         # is the basepoint; word_path concatenates these
         by_letter = {}
@@ -204,6 +215,8 @@ def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
 def word_path(fam: RationalFamily, w: GenWord) -> tuple[complex, ...]:
     """Concatenated loop polyline for a mapping-class word (letters traverse
     left to right; inverse letters run their loop backwards)."""
+    if w.alphabet != fam.alphabet:
+        raise AlphabetMismatch(f"word must be over {fam.alphabet.names}")
     pts: list[complex] = [fam.basepoint]
     for letter in w.letters:
         pts.extend(fam._by_letter[letter])
@@ -331,19 +344,18 @@ def classify_numeric(
     fam: RationalFamily,
     w: GenWord,
     max_lifts: int = 200,
-    tol: float = 1e-6,
     trace: list[tuple[int, complex]] | None = None,
 ) -> ClassLabel:
     """Label of the family map post-twisted by ``w``.
 
     Lifts the twist path repeatedly (each lift continues from the previous
     endpoint and lifts the previously lifted path), until three consecutive
-    lifted paths contract entirely into the ``tol``-ball of one fixed point;
-    ``tol`` must be below half the least distance between two fixed points,
-    which keeps the balls disjoint.  Judging the endpoint alone is not
-    enough: a twist whose first iterates fix the basepoint sheet parks its
-    endpoints exactly on the base fixed point for several lifts before the
-    dynamics moves away.
+    lifted paths lie entirely within ``_CONVERGENCE_RADIUS`` (1e-6) of one
+    fixed point; :class:`RationalFamily` keeps those balls disjoint.  The
+    identity twist is the basepoint's class.  Judging the endpoint alone is
+    not enough: a twist whose first iterates fix the basepoint sheet parks
+    its endpoints exactly on the base fixed point for several lifts before
+    the dynamics moves away.
 
     Each lift bisects the base path under the step tolerance of
     :func:`lift_path`.  Bisection only adds points, so each lifted
@@ -356,19 +368,10 @@ def classify_numeric(
     carried along.  The convergence test still judges every point of the
     undecimated lift.
     """
-    if w.alphabet != fam.alphabet:
-        raise AlphabetMismatch(f"word must be over {fam.alphabet.names}")
-    points = [p for p, _ in fam.fixed_points]
-    reach = min(abs(p - q) for i, p in enumerate(points) for q in points[:i]) / 2
-    if not tol < reach:
-        raise ValueError(
-            f"tol must be below {reach:.4g}, half the least distance between "
-            f"two fixed points, got {tol:g}"
-        )
-    if w.is_identity:
-        return _nearest_label(fam, [fam.basepoint], tol)
-
     path: Sequence[complex] = word_path(fam, w)
+    if w.is_identity:
+        return fam.fixed_points[0][1]
+
     endpoint = fam.basepoint
     hits = 0
     last: ClassLabel | None = None
@@ -377,7 +380,7 @@ def classify_numeric(
         endpoint = lifted[-1]
         if trace is not None:
             trace.append((n, endpoint))
-        label = _nearest_label(fam, lifted, tol)
+        label = _nearest_label(fam, lifted)
         if label is not None and label == last:
             hits += 1
             if hits >= 3:
@@ -390,10 +393,10 @@ def classify_numeric(
 
 
 def _nearest_label(
-    fam: RationalFamily, points: Sequence[complex], tol: float
+    fam: RationalFamily, points: Sequence[complex]
 ) -> ClassLabel | None:
     for p, label in fam.fixed_points:
-        if all(abs(z - p) < tol for z in points):
+        if all(abs(z - p) < _CONVERGENCE_RADIUS for z in points):
             return label
     return None
 

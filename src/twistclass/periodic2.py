@@ -178,7 +178,7 @@ def phi_bar(w: GenWord) -> GenWord:
     return coordinate_step(_MODULI_REC, 1, _A, w)
 
 
-def gx_trivial(w: GenWord, bound: int = 10000) -> bool:
+def gx_trivial(w: GenWord) -> bool:
     """Triviality of a twist word in the quotient by the iterated-recursion
     kernel, the group where obstructed twists are classified.
 
@@ -186,12 +186,12 @@ def gx_trivial(w: GenWord, bound: int = 10000) -> bool:
     trivially on the tree but keeps non-trivial restriction words forever,
     and it is *not* trivial in this quotient (its order is infinite).
     """
-    return is_kernel_element(_MODULI_REC, w, bound)
+    return is_kernel_element(_MODULI_REC, w)
 
 
-def gx_equal(w1: GenWord, w2: GenWord, bound: int = 10000) -> bool:
+def gx_equal(w1: GenWord, w2: GenWord) -> bool:
     """Equality of twist words in the obstructed-classification quotient."""
-    return gx_trivial(w1 * ~w2, bound)
+    return gx_trivial(w1 * ~w2)
 
 
 def _pure_b_exponent(w: GenWord) -> int | None:

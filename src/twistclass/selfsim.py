@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .labels import BoundExceeded, NotContracting
+from .labels import AlphabetMismatch, BoundExceeded, NotContracting
 from .words import GenWord, _core_span
 from .wreath import Recursion, WreathElem, phi_apply
 
@@ -139,6 +139,8 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     active state ending it (outside the kernel).  A finished walk is
     outside the kernel exactly when its graph has a cycle.
     """
+    if w.alphabet != rec.alphabet:
+        raise AlphabetMismatch(f"word must be over {rec.alphabet.names}")
     phi = functools.partial(phi_apply, rec)
     graph, stop = _closure(
         [_cyclic_core(w)],
@@ -328,25 +330,25 @@ def moore_diagram(
     """Build the Moore diagram of a state-closed set, or report violations.
 
     A restriction target counts as one of the given states when their tree
-    actions agree; ``bound`` caps each of those action comparisons.
+    actions agree, the first such state in sort order; the lookup is the
+    up-to-action index of :func:`nucleus`, seeded with the states, and
+    ``bound`` caps each of its action comparisons.
     """
     ordered = _sorted_words(set(states))
     pos = {s: i for i, s in enumerate(ordered)}
+    phi = functools.cache(functools.partial(phi_apply, rec))
+    canon = _ActionIndex(phi, bound).canon
+    for s in ordered:
+        canon(s)
 
     def resolve(target: GenWord) -> int | None:
         hit = pos.get(target)
-        if hit is not None:
-            return hit
-        for s in ordered:
-            if action_equal(rec, target, s, bound):
-                pos[target] = pos[s]
-                return pos[s]
-        return None
+        return hit if hit is not None else pos.get(canon(target))
 
     next0, next1, active = [], [], []
     violations: list[tuple[GenWord, int, GenWord]] = []
     for s in ordered:
-        elem = phi_apply(rec, s)
+        elem = phi(s)
         row = []
         for letter, child in ((0, elem.c0), (1, elem.c1)):
             hit = resolve(child)

@@ -45,3 +45,40 @@ def test_every_imported_name_is_used():
             if name not in used
         ]
     assert unused == []
+
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement binds by definition or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_every_private_module_name_is_read():
+    # a private module-level name that nothing in the package reads is a
+    # leftover of a deletion
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(twistclass.__file__).parent.glob("*.py"))
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    private = [
+        (f"{name}:{node.lineno}", target)
+        for name, tree in trees.items()
+        for node in tree.body
+        for target in _defined_names(node)
+        if target.startswith("_") and not target.startswith("__")
+    ]
+    assert len(private) > 50  # the walk found the package's helpers
+    assert [f"{where} {t}" for where, t in private if t not in read] == []

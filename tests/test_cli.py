@@ -28,17 +28,6 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
-def test_moduli_tol_that_merges_fixed_points_exits_2(capsys):
-    # T is the airplane twist; at this tol every lift sat in the rabbit's
-    # ball as well, and the first fixed point listed won
-    code, out, err = run(capsys, "moduli", "rabbit", "T", "--tol", "10")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: tol must be below 0.7449, half the least distance between "
-        "two fixed points, got 10\n"
-    )
-
-
 def test_classify_rabbit_power(capsys):
     code, payload, _ = run_json(capsys, "classify-rabbit", "--power", "-4")
     assert code == 0
@@ -170,6 +159,7 @@ def test_moduli_unwritable_trace_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
 def test_moduli_rejects_a_bad_tolerance(capsys, tol):
+    # the convergence radius is a library constant, so moduli reads no --tol
     code, out, err = run(capsys, "moduli", "rabbit", "T", f"--tol={tol}")
     assert code == 2
     assert out == ""

@@ -163,16 +163,21 @@ def test_classify_numeric_rabbit_anchors():
 @pytest.mark.parametrize("name, reach", [
     ("rabbit", 0.74486), ("i", 1.11803), ("quater", 0.98149),
 ])
-def test_classify_numeric_refuses_a_tol_that_merges_fixed_points(name, reach):
-    # wider tol-balls overlap, and the first listed fixed point took every
-    # word whose lifts entered the overlap: rabbit T read as rabbit at tol 3
+def test_a_family_whose_convergence_balls_overlap_fails_at_construction(
+    monkeypatch, name, reach
+):
+    # overlapping balls let the first listed fixed point take every word
+    # whose lifts entered the overlap: rabbit T read as rabbit at radius 3
     fam = FAMILIES[name]()
     w = fam.alphabet.gens()[1]
-    assert classify_numeric(fam, w, tol=0.99 * reach) == classify_numeric(fam, w)
-    for word in (w, fam.alphabet.gens()[0], fam.alphabet.identity()):
-        for tol in (1.0001 * reach, 3.0):
-            with pytest.raises(ValueError, match="half the least distance"):
-                classify_numeric(fam, word, tol=tol)
+    label = classify_numeric(fam, w)
+    monkeypatch.setattr(moduli, "_CONVERGENCE_RADIUS", 0.99 * reach)
+    fam = FAMILIES[name]()
+    assert classify_numeric(fam, w) == label
+    monkeypatch.setattr(moduli, "_CONVERGENCE_RADIUS", 1.0001 * reach)
+    for build in (FAMILIES[name], lambda: dataclasses.replace(fam)):
+        with pytest.raises(ValueError, match="half the least distance"):
+            build()
 
 
 @functools.cache

@@ -228,6 +228,9 @@ WRONG_ALPHABET_CALLS = {
     "act": lambda: wreath.act(periodic2.fi_recursion(), T, "0"),
     "mcg_word_action": lambda: mcg_word_action(AB.gen("a")),
     "word_action": lambda: word_action(T),
+    # the identity is a leaf of the kernel walk, so this checks before it
+    "gx_equal": lambda: periodic2.gx_equal(T, T),
+    "word_path": lambda: moduli.word_path(moduli.rabbit_family(), AB.gen("a")),
 }
 
 
