@@ -63,18 +63,12 @@ def _label_payload(command: str, source: str, label: ClassLabel, **extra) -> dic
 
 def _cmd_classify_rabbit(args) -> int:
     if args.power is not None:
-        # the base-4 digits decide T^m in no steps, so a budget has no reader
-        if args.max_iters is not None:
-            print("error: --power does not read --max-iters", file=sys.stderr)
-            return 2
         label = rabbit.classify_twist_power(args.power)
         payload = _label_payload("classify-rabbit", f"T^{args.power}", label)
         _emit(args, payload, f"T^{args.power} twist: {label}")
         return 0
-    if args.max_iters is None:
-        args.max_iters = _MAX_ITERS
     if args.st_power is not None:
-        label = rabbit.classify_st_power(args.st_power, args.max_iters)
+        label = rabbit.classify_st_power(args.st_power)
         payload = _label_payload("classify-rabbit", f"(ST)^{args.st_power}", label)
         _emit(args, payload, f"(ST)^{args.st_power} twist: {label}")
         return 0
@@ -85,7 +79,7 @@ def _cmd_classify_rabbit(args) -> int:
 def _emit_orbit(args, w: GenWord, step, stop) -> int:
     """Report the label of the orbit of ``w`` under ``step`` until ``stop``
     names a terminal word, with that word and the step count."""
-    label, witness, steps = iterate_to_terminal(step, stop, w, args.max_iters)
+    label, witness, steps = iterate_to_terminal(step, stop, w)
     text, witness = str(w), str(witness)
     payload = _label_payload(
         args.command, text, label, iterations=steps, witness=witness
@@ -96,7 +90,7 @@ def _emit_orbit(args, w: GenWord, step, stop) -> int:
 
 def _cmd_classify_i(args) -> int:
     w = periodic2.MODULI.parse(args.word)
-    label = periodic2.classify_full(w, k_max=args.k_max, iter_max=args.max_iters)
+    label = periodic2.classify_full(w)
     text = str(w)
     payload = _label_payload("classify-i", text, label)
     if label.index is not None:
@@ -217,8 +211,6 @@ def _int_between(low: int, high: int | None = None) -> Callable[[str], int]:
 
 
 _positive_int = _int_between(1)
-#: default --max-iters of the word classifiers
-_MAX_ITERS = 1024
 #: (ST)^m has 2|m| letters, which obeys the parser's word-length cap
 _st_exponent = _int_between(-(MAX_WORD_LENGTH // 2), MAX_WORD_LENGTH // 2)
 
@@ -246,17 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
     bound = _option("--bound", type=_positive_int, default=10000,
                     help="state bound for closures and nuclei")
-    max_iters = _option("--max-iters", type=_positive_int, default=_MAX_ITERS,
-                        help="iteration budget for the word classifiers")
-    # None tells a given budget from the default, which --power rejects
-    rabbit_max_iters = _option("--max-iters", type=_positive_int, default=None,
-                               help=f"iteration budget (default {_MAX_ITERS})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *options: argparse.ArgumentParser, **kwargs):
         return sub.add_parser(name, parents=[json_opt, *options], **kwargs)
 
-    p = add("classify-rabbit", rabbit_max_iters, help="classify a period-3 twist")
+    p = add("classify-rabbit", help="classify a period-3 twist")
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("word", nargs="?", help="word over T, S")
     given.add_argument("--power", type=int, help="classify the pure twist T^m")
@@ -264,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify the twist (ST)^m")
     p.set_defaults(func=_cmd_classify_rabbit)
 
-    p = add("classify-i", max_iters, help="classify a preperiod-1 twist")
+    p = add("classify-i", help="classify a preperiod-1 twist")
     p.add_argument("word", help="word over a, b")
-    p.add_argument("--k-max", type=_int_between(0), default=64,
-                   help="largest obstructed index reported")
     p.set_defaults(func=_cmd_classify_i)
 
-    p = add("classify-quater", max_iters, help="classify a preperiod-2 twist")
+    p = add("classify-quater", help="classify a preperiod-2 twist")
     p.add_argument("word", help="word over a, b")
     p.set_defaults(func=_cmd_classify_quater)
 

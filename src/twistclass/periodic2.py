@@ -10,12 +10,12 @@ from .labels import (
     F_MINUS_I,
     FI,
     AlphabetMismatch,
-    BoundExceeded,
     ClassLabel,
     obstructed,
 )
 from .words import AB, PI1, Endo, GenWord, dehn_twist
 from .wreath import (
+    MAX_ITERS,
     Recursion,
     WreathElem,
     coordinate_step,
@@ -200,7 +200,7 @@ def _pure_b_exponent(w: GenWord) -> int | None:
     return None
 
 
-def obstructed_index(w: GenWord, k_max: int = 64, iter_max: int = 256) -> int:
+def obstructed_index(w: GenWord, iter_max: int = MAX_ITERS) -> int:
     """Index n of the obstructed class: the iterator orbit of ``w`` reaches
     the word ``b^n``.
 
@@ -223,27 +223,22 @@ def obstructed_index(w: GenWord, k_max: int = 64, iter_max: int = 256) -> int:
 
     def b_power(cur: GenWord) -> ClassLabel | None:
         exp = _pure_b_exponent(cur)
-        if exp is None:
-            return None
-        if abs(exp) > k_max:
-            raise BoundExceeded(
-                f"orbit landed on a b-power of exponent {exp}, beyond k_max={k_max}"
-            )
-        return obstructed(exp)
+        return None if exp is None else obstructed(exp)
 
     return iterate_to_terminal(phi_bar, b_power, w, iter_max)[0].index
 
 
 def classify_full(
-    w: GenWord, k_max: int = 64, iter_max: int = 256, bound: int = 10000
+    w: GenWord, k_max: int = 64, iter_max: int = MAX_ITERS, bound: int = 10000
 ) -> ClassLabel:
     """Complete classification: the three-way split, with the obstructed
     index attached by rewriting the input against the obstructed model.
 
-    ``bound`` is accepted and not read, for callers that still pass it (the
-    benchmark workloads do): the obstructed index runs no word problem.
+    ``k_max`` and ``bound`` are accepted and not read, for callers that
+    still pass them (the benchmark workloads do; ROADMAP item 1): every
+    obstructed index is reported, and the index runs no word problem.
     """
     label = classify_mod5(w)
     if label.kind != "obstructed":
         return label
-    return obstructed(obstructed_index(~_A * w, k_max, iter_max))
+    return obstructed(obstructed_index(~_A * w, iter_max))

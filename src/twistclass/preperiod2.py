@@ -6,6 +6,7 @@ from __future__ import annotations
 from .labels import F14, F34, F512, ClassLabel
 from .words import AB, PI1, Endo, GenWord, twist_action
 from .wreath import (
+    MAX_ITERS,
     Recursion,
     WreathElem,
     coordinate_step,
@@ -122,7 +123,7 @@ TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
 terminal_label = {t: label for ts, label in TERMINAL_LABELS for t in ts}.get
 
 
-def classify_quater(w: GenWord, max_iters: int = 64) -> ClassLabel:
+def classify_quater(w: GenWord, max_iters: int = MAX_ITERS) -> ClassLabel:
     """Label of the base polynomial post-twisted by ``w``, by iteration to
     one of the terminal sets; an orbit revisiting a non-terminal word is
     reported as Diverged."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 from .labels import AIRPLANE, CORABBIT, RABBIT, ClassLabel
 from .words import MCG, PI1, Endo, GenWord, twist_action
 from .wreath import (
+    MAX_ITERS,
     Recursion,
     WreathElem,
     coordinate_step,
@@ -107,7 +108,7 @@ TERMINAL_LABELS: tuple[tuple[frozenset[GenWord], ClassLabel], ...] = (
 terminal_label = {t: label for ts, label in TERMINAL_LABELS for t in ts}.get
 
 
-def classify_mcg(w: GenWord, max_iters: int = 1024) -> ClassLabel:
+def classify_mcg(w: GenWord, max_iters: int = MAX_ITERS) -> ClassLabel:
     """Label of the rabbit twisted by an arbitrary mapping-class word.
 
     Iterates :func:`psi_bar` until the orbit hits the identity (rabbit), T
@@ -137,6 +138,6 @@ def classify_twist_power(m: int) -> ClassLabel:
     return RABBIT if m >= 0 else CORABBIT
 
 
-def classify_st_power(m: int, max_iters: int = 1024) -> ClassLabel:
+def classify_st_power(m: int) -> ClassLabel:
     """Label of the rabbit twisted by (ST)^m, by iteration."""
-    return classify_mcg((_S * _T) ** m, max_iters)
+    return classify_mcg((_S * _T) ** m)

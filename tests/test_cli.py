@@ -61,6 +61,15 @@ def test_classify_i_obstructed_carries_index(capsys):
     assert payload["index"] == 5
 
 
+def test_classify_i_reports_every_obstructed_index(capsys):
+    # nothing caps the reported index
+    code, payload, _ = run_json(capsys, "classify-i", "a b^65")
+    assert code == 0
+    assert payload["label"] == "obstructed"
+    assert payload["index"] == 65
+    assert MODULI.parse(payload["witness"]) == MODULI.parse("b^65")
+
+
 def test_classify_quater(capsys):
     code, payload, _ = run_json(capsys, "classify-quater", "a")
     assert code == 0
@@ -173,7 +182,8 @@ def test_moduli_rejects_a_bad_tolerance(capsys, tol):
 ])
 @pytest.mark.parametrize("value", ["0", "-3", "1.5"])
 def test_rejects_a_non_positive_budget(capsys, argv, option, value):
-    # before, a budget <= 0 ran and gave up with exit 3
+    # before, a budget <= 0 ran and gave up with exit 3; classify-quater
+    # takes no budget, so there --max-iters exits 2 as an unread option
     code, out, err = run(capsys, *argv, f"{option}={value}")
     assert code == 2
     assert out == ""
@@ -189,6 +199,13 @@ def test_rejects_a_non_positive_budget(capsys, argv, option, value):
     (("trivial", "rabbit", "alpha"), "--max-iters"),
     (("moduli", "rabbit", "T"), "--max-iters"),
     (("classify-i", "a"), "--bound"),
+    # the step budget is a library constant: no classify command reads one
+    (("classify-rabbit", "T"), "--max-iters"),
+    (("classify-quater", "a"), "--max-iters"),
+    (("classify-i", "a"), "--max-iters"),
+    # every obstructed index is reported, so nothing caps it
+    (("classify-i", "a"), "--k-max"),
+    (("moduli", "rabbit", "T"), "--tol"),
 ])
 def test_an_option_the_command_does_not_read_exits_2(capsys, argv, option):
     code, out, err = run(capsys, *argv, option, "3")
@@ -203,17 +220,6 @@ def test_nucleus_refuses_dot_with_json(capsys):
     assert code == 2
     assert out == ""
     assert "--dot" in err and "--json" in err
-
-
-def test_power_refuses_a_budget(capsys):
-    # before, the base-4 classifier ran and --max-iters went unread;
-    # --st-power reads it and gives up on a spent budget
-    code, out, err = run(capsys, "classify-rabbit", "--power", "5", "--max-iters", "1")
-    assert code == 2
-    assert out == ""
-    assert "--power" in err and "--max-iters" in err
-    code, _, _ = run(capsys, "classify-rabbit", "--st-power", "3", "--max-iters", "1")
-    assert code == 3
 
 
 @pytest.mark.parametrize("argv", [("nucleus", "fi"), ("distinct", "fi", "q14")])
@@ -276,16 +282,22 @@ def test_a_blown_budget_has_no_witness(capsys):
     assert payload == {"command": "nucleus", "label": "bound-exceeded"}
 
 
-@pytest.mark.parametrize("value, code", [
+@pytest.mark.parametrize("value, before", [
     ("-5", 2), ("-1", 2), ("x", 2), ("0", 0), ("5", 0),
 ])
-def test_classify_i_k_max_must_not_be_negative(capsys, value, code):
-    # before, a negative --k-max ran and gave up with exit 3
-    got, out, err = run(capsys, "classify-i", "a", "--k-max", value)
-    assert got == code
-    if code == 2:
-        assert out == ""
-        assert "--k-max" in err
+def test_classify_i_k_max_must_not_be_negative(capsys, value, before):
+    # before, --k-max capped the reported index: a negative or non-integer
+    # value exited 2 and a cap of 0 or 5 ran (exit `before`). The cap is
+    # gone, so every value exits 2 as an option classify-i does not read,
+    # and an index past a cap that once ran is reported
+    got, out, err = run(capsys, "classify-i", "a b^6", "--k-max", value)
+    assert got == 2
+    assert out == ""
+    assert "--k-max" in err
+    if before == 0:
+        code, payload, _ = run_json(capsys, "classify-i", "a b^6")
+        assert code == 0
+        assert payload["index"] == 6 > int(value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,39 +375,38 @@ def test_nucleus_of_action_level_recursion(capsys):
 def test_classify_gives_up_on_a_spent_budget(
     capsys, command, text, steps, label, witness, classify, alphabet
 ):
-    # the orbit reaches its terminal in `steps` steps: a budget of exactly
-    # that many gives up, in the CLI and in the library alike
-    code, payload, _ = run_json(capsys, command, text, "--max-iters", str(steps))
-    assert code == 3
-    assert payload["label"] == "diverged"
+    # the orbit reaches its terminal in `steps` steps: a library budget of
+    # exactly that many gives up and one more answers; the command line,
+    # which takes no budget, reports the same orbit
     with pytest.raises(Diverged):
         classify(alphabet.parse(text), steps)
+    assert classify(alphabet.parse(text), steps + 1) == label
 
-    code, payload, _ = run_json(capsys, command, text, "--max-iters", str(steps + 1))
+    code, payload, _ = run_json(capsys, command, text)
     assert code == 0
     assert payload["label"] == label.kind
     assert payload["iterations"] == steps
     assert payload["witness"] == witness
-    assert classify(alphabet.parse(text), steps + 1) == label
 
 
 # --- one parser per process ---------------------------------------------------
 
 
 def test_a_budget_does_not_reach_the_next_call(capsys):
-    assert run(capsys, "classify-rabbit", "T", "--max-iters", "3")[0] == 0
-    # --power refuses a given --max-iters, so a leaked budget exits 2
-    code, payload, _ = run_json(capsys, "classify-rabbit", "--power", "5")
+    # two lifts are too few for T, so a leaked --max-lifts gives up again
+    assert run(capsys, "moduli", "rabbit", "T", "--max-lifts", "2")[0] == 3
+    code, payload, _ = run_json(capsys, "moduli", "rabbit", "T")
     assert code == 0
     assert payload["label"] == "airplane"
 
 
 def test_k_max_does_not_reach_the_next_call(capsys):
-    assert run(capsys, "classify-i", "a", "--k-max", "0")[0] == 0
-    code, payload, _ = run_json(capsys, "classify-i", "a b^5")
+    # a refused --k-max leaves no cap behind for the next call
+    assert run(capsys, "classify-i", "a", "--k-max", "0")[0] == 2
+    code, payload, _ = run_json(capsys, "classify-i", "a b^65")
     assert code == 0
     assert payload["label"] == "obstructed"
-    assert payload["index"] == 5
+    assert payload["index"] == 65
 
 
 def test_a_call_after_failed_ones_answers_as_a_fresh_process(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_word, reduced_words
 from twistclass import periodic2
-from twistclass.labels import F_MINUS_I, FI, BoundExceeded, Diverged, obstructed
+from twistclass.labels import F_MINUS_I, FI, Diverged, obstructed
 from twistclass.periodic2 import (
     MODULI,
     PI1,
@@ -197,8 +197,8 @@ def test_obstructed_index_examples():
 
 
 def test_obstructed_index_bound():
-    with pytest.raises(BoundExceeded):
-        obstructed_index(B ** 9, k_max=5)
+    # nothing caps the index
+    assert obstructed_index(B ** 65) == 65
 
 
 def test_obstructed_index_gives_up_at_the_first_revisit(monkeypatch):

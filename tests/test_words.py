@@ -14,7 +14,7 @@ from twistclass.words import (
     GenWord,
     dehn_twist,
 )
-from twistclass import moduli, periodic2, wreath
+from twistclass import moduli, periodic2, selfsim, wreath
 from twistclass.periodic2 import a_pi1_action, fstar_recursion
 from twistclass.preperiod2 import (
     MODULI,
@@ -231,6 +231,9 @@ WRONG_ALPHABET_CALLS = {
     # the identity is a leaf of the kernel walk, so this checks before it
     "gx_equal": lambda: periodic2.gx_equal(T, T),
     "word_path": lambda: moduli.word_path(moduli.rabbit_family(), AB.gen("a")),
+    "homotopy_shift": lambda: selfsim.homotopy_shift(
+        periodic2.fi_recursion(), periodic2.moduli_i_recursion(), AB.gen("a"), 2
+    ),
 }
 
 

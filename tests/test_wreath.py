@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import random_word, reduced_words
-from twistclass.labels import Diverged
+from twistclass import periodic2, preperiod2, rabbit
+from twistclass.labels import Diverged, obstructed
 from twistclass.rabbit import (
     ADDING_MACHINE,
     MCG,
@@ -17,6 +18,7 @@ from twistclass.periodic2 import moduli_i_recursion, MODULI
 from twistclass.preperiod2 import TERMINAL_LABELS, moduli_q_recursion, psi_bar_q
 from twistclass.words import Endo
 from twistclass.wreath import (
+    MAX_ITERS,
     Recursion,
     WreathElem,
     act,
@@ -209,3 +211,41 @@ def test_iterate_to_terminal_stops_at_a_non_terminal_cycle():
     with pytest.raises(Diverged, match="cycle"):
         iterate_to_terminal(step, stop, B, 64)
     assert visited == [B, ~B * ~A, A * A]
+
+
+def reduced_random_word(alphabet, length, rng):
+    """A seeded reduced word of ``length`` letters, built in one call."""
+    letters = []
+    while len(letters) < length:
+        name, sign = rng.choice(alphabet.names), rng.choice((1, -1))
+        if not letters or letters[-1] != (name, -sign):
+            letters.append((name, sign))
+    return alphabet.word(letters)
+
+
+#: steps within which every probe below must end; ``MAX_ITERS`` allows 32
+#: times more
+ORBIT_STEPS = 32
+
+
+def test_long_orbits_end_far_inside_the_step_budget():
+    # a step about halves a twist word, so 10,000 letters need about
+    # log2(10,000) ~ 13 steps; each classifier gives up past ORBIT_STEPS
+    assert 32 * ORBIT_STEPS <= MAX_ITERS
+    rng = random.Random(28)
+    for _ in range(3):
+        rabbit.classify_mcg(reduced_random_word(MCG, 10_000, rng), ORBIT_STEPS)
+        preperiod2.classify_quater(
+            reduced_random_word(MODULI, 10_000, rng), ORBIT_STEPS
+        )
+    # the z^2+i split runs no orbit, so draw until three words run one
+    obstructed_words = 0
+    while obstructed_words < 3:
+        w = reduced_random_word(MODULI, 10_000, rng)
+        label = periodic2.classify_full(w, iter_max=ORBIT_STEPS)
+        obstructed_words += label.kind == "obstructed"
+    assert rabbit.classify_mcg(T ** 5000, ORBIT_STEPS) == rabbit.classify_twist_power(5000)
+    rabbit.classify_mcg((S * T) ** 2500, ORBIT_STEPS)
+    preperiod2.classify_quater(A ** 5000, ORBIT_STEPS)
+    preperiod2.classify_quater(B ** 5000, ORBIT_STEPS)
+    assert periodic2.classify_full(A * B ** 5000, iter_max=ORBIT_STEPS) == obstructed(5000)
