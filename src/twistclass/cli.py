@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("moduli", help="numeric classification via pull-back")
     p.add_argument("family", choices=sorted(moduli.FAMILIES))
     p.add_argument("word")
-    p.add_argument("--max-lifts", type=_positive_int, default=200)
+    p.add_argument("--max-lifts", type=_positive_int, default=moduli.MAX_LIFTS)
     p.add_argument("--trace-file", help="write the lift trajectory here")
     p.set_defaults(func=_cmd_moduli)
 

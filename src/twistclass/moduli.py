@@ -73,6 +73,12 @@ class RationalFamily:
             by_letter[(name, 1)] = points[1:]
             by_letter[(name, -1)] = points[-2::-1]
         object.__setattr__(self, "_by_letter", by_letter)
+        # each signed letter's loop lifted from one start, without that
+        # start, filled by _first_lift; a start is the basepoint or the end
+        # of a lifted loop, one of the basepoint's two preimages, so there
+        # are at most 3 starts (the basepoint's own preimage may differ
+        # from it in the last bits)
+        object.__setattr__(self, "_letter_lifts", {})
 
     @property
     def basepoint(self) -> complex:
@@ -212,11 +218,15 @@ def loop_around(fam: RationalFamily, letter: str) -> LoopSpec:
     return LoopSpec(tuple(pts))
 
 
+def _check_alphabet(fam: RationalFamily, w: GenWord) -> None:
+    if w.alphabet != fam.alphabet:
+        raise AlphabetMismatch(f"word must be over {fam.alphabet.names}")
+
+
 def word_path(fam: RationalFamily, w: GenWord) -> tuple[complex, ...]:
     """Concatenated loop polyline for a mapping-class word (letters traverse
     left to right; inverse letters run their loop backwards)."""
-    if w.alphabet != fam.alphabet:
-        raise AlphabetMismatch(f"word must be over {fam.alphabet.names}")
+    _check_alphabet(fam, w)
     pts: list[complex] = [fam.basepoint]
     for letter in w.letters:
         pts.extend(fam._by_letter[letter])
@@ -299,6 +309,27 @@ def lift_path(
     return lifted
 
 
+def _first_lift(fam: RationalFamily, w: GenWord) -> list[complex]:
+    """``lift_path(fam, word_path(fam, w), fam.basepoint)``, assembled from
+    the family's lifted letter loops.
+
+    Every loop starts and ends at the basepoint, and :func:`lift_path`
+    carries nothing but the lifted point from one base segment to the next,
+    so the lift of a word is the concatenation of each letter loop's lift
+    from the end of the one before: each is lifted once per family and
+    start, and kept in ``fam._letter_lifts``.
+    """
+    lifted = [fam.basepoint]
+    for letter in w.letters:
+        key = (letter, lifted[-1])
+        piece = fam._letter_lifts.get(key)
+        if piece is None:
+            loop = (fam.basepoint, *fam._by_letter[letter])
+            piece = fam._letter_lifts[key] = lift_path(fam, loop, lifted[-1])[1:]
+        lifted.extend(piece)
+    return lifted
+
+
 #: radius of a decimation disc as a fraction of its centre's distance to the
 #: nearest puncture or pole, so every disc is clear of them
 _DISC_FRACTION = 0.5
@@ -340,10 +371,15 @@ def _decimate(fam: RationalFamily, points: Sequence[complex]) -> list[complex]:
     return kept
 
 
+#: default number of lifts before :func:`classify_numeric` gives up; no
+#: reduced word of length <= 4 in any family takes more than 61
+MAX_LIFTS = 200
+
+
 def classify_numeric(
     fam: RationalFamily,
     w: GenWord,
-    max_lifts: int = 200,
+    max_lifts: int = MAX_LIFTS,
     trace: list[tuple[int, complex]] | None = None,
 ) -> ClassLabel:
     """Label of the family map post-twisted by ``w``.
@@ -366,20 +402,23 @@ def classify_numeric(
     run and the next lift ends on the same sheet at the same endpoint; a
     lifted loop that fits in one disc collapses to a chord instead of being
     carried along.  The convergence test still judges every point of the
-    undecimated lift.
+    undecimated lift.  The first lift, of the word's loop polyline, is
+    assembled from the family's lifted letter loops (:func:`_first_lift`).
     """
-    path: Sequence[complex] = word_path(fam, w)
+    _check_alphabet(fam, w)
     if w.is_identity:
         return fam.fixed_points[0][1]
 
-    endpoint = fam.basepoint
     hits = 0
     last: ClassLabel | None = None
+    lifted: list[complex] = []
     for n in range(max_lifts):
-        lifted = lift_path(fam, path, endpoint)
-        endpoint = lifted[-1]
+        if n:
+            lifted = lift_path(fam, _decimate(fam, lifted), lifted[-1])
+        else:
+            lifted = _first_lift(fam, w)
         if trace is not None:
-            trace.append((n, endpoint))
+            trace.append((n, lifted[-1]))
         label = _nearest_label(fam, lifted)
         if label is not None and label == last:
             hits += 1
@@ -388,7 +427,6 @@ def classify_numeric(
         else:
             hits = 1 if label is not None else 0
             last = label
-        path = _decimate(fam, lifted)
     raise Diverged(f"no fixed point reached within {max_lifts} lifts")
 
 

@@ -188,13 +188,14 @@ def _numeric_runs(name):
     fam = FAMILIES[name]()
     sizes = []
 
-    def counted(*args, **kwargs):
-        lifted = lift_path(*args, **kwargs)
-        sizes.append(len(lifted))
-        return lifted
+    def counted(fam, points):
+        # the convergence test runs once per lift, on the whole lifted path
+        sizes.append(len(points))
+        return nearest_label(fam, points)
 
+    nearest_label = moduli._nearest_label
     runs = []
-    with mock.patch.object(moduli, "lift_path", counted):
+    with mock.patch.object(moduli, "_nearest_label", counted):
         for w in reduced_words(fam.alphabet, 4, include_identity=False):
             sizes.clear()
             label = classify_numeric(fam, w)
@@ -582,3 +583,60 @@ def test_lift_path_evaluates_each_lifted_point_once(name):
     assert per_lift
     for made, lifted_points in per_lift:
         assert made == lifted_points
+
+
+# --- the first lift, assembled from lifted letter loops ----------------------
+
+
+def _lift_zero_words(fam):
+    """Every reduced word of length 1-4, and the seeded words of length 5-8
+    that the drawn-word agreement test classifies."""
+    words = list(reduced_words(fam.alphabet, 4, include_identity=False))
+    rng = random.Random(0)
+    words += [
+        _drawn_reduced_word(fam.alphabet, length, rng)
+        for length in range(5, 9)
+        for _ in range(12)
+    ]
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_first_lift_equals_the_lift_of_the_word_path(name):
+    fam = FAMILIES[name]()
+    words = _lift_zero_words(fam)
+    plain = {w: lift_path(fam, word_path(fam, w), fam.basepoint) for w in words}
+    for w in words:
+        # a cold cache, then the cache every word before this one filled
+        assert moduli._first_lift(dataclasses.replace(fam), w) == plain[w], str(w)
+        assert moduli._first_lift(fam, w) == plain[w], str(w)
+    for w in words:
+        assert moduli._first_lift(fam, w) == plain[w], str(w)
+    # the pieces start at the basepoint or at one of its two preimages
+    assert len(fam._letter_lifts) <= 6 * len(fam.alphabet.names)
+    assert dataclasses.replace(fam)._letter_lifts == {}
+
+
+@pytest.mark.parametrize("name, word", [
+    ("rabbit", "T S' T"), ("i", "a b' a b"), ("quater", "b a' b'"),
+])
+def test_a_second_classification_lifts_no_letter_loop_again(name, word):
+    base = FAMILIES[name]()
+    evaluations = 0
+
+    def counted_preimages(v):
+        nonlocal evaluations
+        evaluations += 1
+        return base.preimages(v)
+
+    fam = dataclasses.replace(base, preimages=counted_preimages)
+    w = fam.alphabet.parse(word)
+    label = classify_numeric(fam, w)
+    first, evaluations = evaluations, 0
+    pieces = dict(fam._letter_lifts)
+    # each cached piece cost one evaluation per point when it was lifted
+    lift_zero = sum(len(piece) for piece in pieces.values())
+    assert lift_zero > 0
+    assert classify_numeric(fam, w) == label
+    assert evaluations == first - lift_zero
+    assert fam._letter_lifts == pieces
