@@ -62,6 +62,17 @@ def _label_payload(command: str, source: str, label: ClassLabel, **extra) -> dic
 
 
 def _cmd_classify_rabbit(args) -> int:
+    # argparse keeps --power and --st-power apart; the word is checked here,
+    # after parse_args, since argparse takes the value of an option the
+    # command does not read ("--max-iters 3") for the word, and a group
+    # holding the word would report that clash instead of the option
+    flag = ("--power" if args.power is not None
+            else "--st-power" if args.st_power is not None else None)
+    if (args.word is None) == (flag is None):
+        reason = (f"argument word: not allowed with argument {flag}" if flag
+                  else "one of the arguments word --power --st-power is required")
+        print(f"error: {reason}", file=sys.stderr)
+        return 2
     if args.power is not None:
         label = rabbit.classify_twist_power(args.power)
         payload = _label_payload("classify-rabbit", f"T^{args.power}", label)
@@ -244,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[json_opt, *options], **kwargs)
 
     p = add("classify-rabbit", help="classify a period-3 twist")
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("word", nargs="?", help="word over T, S")
+    p.add_argument("word", nargs="?", help="word over T, S")
+    given = p.add_mutually_exclusive_group()
     given.add_argument("--power", type=int, help="classify the pure twist T^m")
     given.add_argument("--st-power", type=_st_exponent,
                        help="classify the twist (ST)^m")

@@ -298,6 +298,11 @@ AB = Alphabet(("a", "b"))
 #
 # NAME is a generator name, the longest that matches; "1" is the identity;
 # DIGITS are one or more ASCII 0-9.
+#
+# The tokenizer reads a run of letters (names, each with its apostrophes,
+# joined by juxtaposition or whitespace) as one token.  The parser takes a
+# run's letters in one step and keeps only the last open, so a "^k" or "'"
+# after the run still binds to that letter alone.
 
 #: most letters a parsed word may expand to, counted before free reduction
 #: across the factors of one parenthesis level and exactly for a power
@@ -306,16 +311,50 @@ MAX_WORD_LENGTH = 100_000
 MAX_NESTING_DEPTH = 100
 
 
+class _Letters(dict):
+    """Letter text -> letter, holding the spellings "T" and "T'" of every
+    name; any other spelling ("T''", "T '") is read by its apostrophe
+    parity and not kept."""
+
+    def __missing__(self, text: str) -> Letter:
+        return text.partition("'")[0].rstrip(), (-1) ** text.count("'")
+
+
 @functools.cache
-def _token_pattern(names: tuple[str, ...]) -> re.Pattern[str]:
-    """Whitespace, then one token: a generator name (longest first), a '^'
-    with its exponent, or any other single character.  Exponent digits are
-    ASCII only: ``\\d`` also admits '²', which int() refuses."""
+def _token_pattern(
+    names: tuple[str, ...],
+) -> tuple[re.Pattern[str], re.Pattern[str], _Letters]:
+    """The token pattern of an alphabet, with the letter pattern and the
+    letter table that read a run.
+
+    A token follows whitespace and is a run of letters, a '^' with its
+    exponent, or any other single character.  A letter is a generator name
+    N (longest first) with its apostrophes, ``N(?:\\s*')*``, so a run,
+    letters joined by juxtaposition or whitespace, is ``N(?:\\s*(?:N|'))*``.
+    That is a plain greedy repeat with nothing after it, so it never
+    backtracks into a shorter name: over names ("a", "ab", "b") the text
+    "ab" is the single letter ab, as the longest-name rule says, where a
+    pattern that captures the last letter apart, ``((?:L\\s*)*)(L)`` for a
+    letter L, backtracks and reads a b.  A run holds at most
+    MAX_WORD_LENGTH + 1 names and apostrophes, so the parser's work before
+    it refuses a word past the cap is bounded by the cap, not by the text.
+    A cut between a name and its apostrophes leaves them to the "'" tokens
+    that follow, which invert the letter the cut run keeps open.  Exponent
+    digits are ASCII only: ``\\d`` also admits '²', which int() refuses."""
     alternatives = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
-    return re.compile(rf"\s*(?:({alternatives})|(\^[+-]?[0-9]*)|(\S))")
+    table = _Letters()
+    for name in names:
+        table[name], table[name + "'"] = (name, 1), (name, -1)
+    run = rf"(?:{alternatives})(?:\s*(?:{alternatives}|')){{0,{MAX_WORD_LENGTH}}}"
+    return (
+        re.compile(rf"\s*(?:({run})|(\^[+-]?[0-9]*)|(\S))"),
+        re.compile(rf"(?:{alternatives})(?:\s*')*"),
+        table,
+    )
 
 
 def _parse(alphabet: Alphabet, text: str) -> GenWord:
+    tokens, letter, table = _token_pattern(alphabet.names)
     # the letters of the open parenthesis level, reduced once when it closes
     # (not a product per factor, which keeps long words linear); the
     # enclosing levels wait on the stack with the position of their '('
@@ -325,8 +364,8 @@ def _parse(alphabet: Alphabet, text: str) -> GenWord:
     # apart while "'" and "^k" may still change them
     factor: tuple[Letter, ...] | None = None
     factor_at = 0
-    for m in _token_pattern(alphabet.names).finditer(text):
-        name, power, other = m.groups()
+    for m in tokens.finditer(text):
+        run, power, other = m.groups()
         at = m.start(m.lastindex)
         if power is not None:
             digits = power[1:].lstrip("+-")
@@ -360,8 +399,26 @@ def _parse(alphabet: Alphabet, text: str) -> GenWord:
                     f"word expands past {MAX_WORD_LENGTH} letters", factor_at
                 )
             factor = None
-        if name is not None:
-            factor, factor_at = ((name, 1),), at
+        if run is not None:
+            end = m.end(1)
+            # most runs are letters apart, as str() spells a word, and split
+            # at whitespace; juxtaposed letters, or an apostrophe apart from
+            # its name, leave a piece the table lacks, and then the letter
+            # pattern splits the run
+            spelled = text[at:end].split()
+            closed = list(map(table.get, spelled))
+            if None in closed:
+                spelled = letter.findall(text, at, end)
+                closed = list(map(table.__getitem__, spelled))
+            factor, factor_at = (closed.pop(),), end - len(spelled[-1])
+            letters += closed
+            if len(letters) > MAX_WORD_LENGTH:
+                # the run's letter that crossed the cap, located only now
+                k = len(closed) - (len(letters) - MAX_WORD_LENGTH)
+                crossed = list(letter.finditer(text, at, end))[k]
+                raise WordParseError(
+                    f"word expands past {MAX_WORD_LENGTH} letters", crossed.start()
+                )
         elif other == "1":
             factor, factor_at = (), at
         elif other == "(":

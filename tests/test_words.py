@@ -1,7 +1,10 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word, reduced_words
 from twistclass.labels import AlphabetMismatch, WordParseError
@@ -289,6 +292,41 @@ def test_parse_longest_name_match():
     two = Alphabet(("a", "ab"))
     w = two.parse("ab a")
     assert w.letters == (("ab", 1), ("a", 1))
+    # a run of letters is one token, which must not split "ab" as a b
+    three = Alphabet(("a", "ab", "b"))
+    assert three.parse("ab").letters == (("ab", 1),)
+    assert three.parse("a b").letters == (("a", 1), ("b", 1))
+
+
+#: ("a", "ab") has a name that starts another, and in ("a", "ab", "b") the
+#: juxtaposed letters a, b spell a third
+RUN_ALPHABETS = [MCG, AB, PI1, Alphabet(("a", "ab")), Alphabet(("a", "ab", "b"))]
+GAPS = st.sampled_from(["", " ", "  ", "\t", "\n "])
+
+
+@given(st.sampled_from(RUN_ALPHABETS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_a_run_letter_by_letter(alphabet, data):
+    # each letter is a name and up to three apostrophes, any of them after
+    # whitespace; letters are juxtaposed or apart
+    letters = data.draw(st.lists(
+        st.tuples(st.sampled_from(alphabet.names), st.lists(GAPS, max_size=3)),
+        max_size=30,
+    ))
+    text = data.draw(GAPS)
+    for name, primes in reversed(letters):
+        gap = data.draw(GAPS)
+        # a plain name juxtaposed with a text that spells a longer name
+        # would be read as that name, so it takes a space
+        if not gap and not primes and any(
+            len(n) > len(name) and (name + text).startswith(n)
+            for n in alphabet.names
+        ):
+            gap = " "
+        text = name + "".join(g + "'" for g in primes) + gap + text
+    text = data.draw(GAPS) + text
+    want = alphabet.word((name, (-1) ** len(primes)) for name, primes in letters)
+    assert alphabet.parse(text) == want
 
 
 # ("a", "ab") has a name that is a prefix of another
@@ -348,6 +386,43 @@ def test_parse_accepts_words_up_to_the_length_cap(text, length):
 def test_parse_rejects_words_past_the_length_cap(text):
     with pytest.raises(WordParseError, match="cap|past"):
         GRAMMAR.parse(text)
+
+
+#: a text of exactly N plain letters, none of them a power
+PLAIN_CAP = "T S' " * (N // 2)
+
+
+@pytest.mark.parametrize("before, after", [
+    ("", ""),
+    ("", " S T'"),
+    ("", "' S^2"),
+    ("(", " S)"),
+    ("", "(S)"),
+])
+def test_parse_caps_a_run_of_plain_letters(before, after):
+    # a run of letters is read in one step, yet the error points at the
+    # first character of the letter that crossed the cap, the "a"
+    assert len(GRAMMAR.parse(PLAIN_CAP)) == N
+    text = before + PLAIN_CAP + "a" + after
+    with pytest.raises(WordParseError, match="past") as err:
+        GRAMMAR.parse(text)
+    assert err.value.position == len(before + PLAIN_CAP)
+
+
+def test_parse_work_past_the_cap_is_bounded_by_the_cap():
+    # a run is cut at the cap, so a text of 2,000,000 letters is refused
+    # after about two runs' worth of them, as one letter at a time was
+    text = "T " * (20 * N)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordParseError, match="past") as err:
+            GRAMMAR.parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.position == 2 * N
+    # ~190 bytes per cap letter; an uncut run took ~6,000, the text's worth
+    assert peak < 400 * N
 
 
 def test_parse_refuses_an_oversized_power_before_building_it():
