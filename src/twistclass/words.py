@@ -41,6 +41,11 @@ def _core_span(letters: tuple[Letter, ...]) -> tuple[int, int]:
 
 
 def _check_letters(alphabet: "Alphabet", letters: tuple[Letter, ...]) -> None:
+    try:
+        if alphabet._letters.issuperset(letters):
+            return
+    except TypeError:  # an unhashable letter; the loop below names it
+        pass
     for name, sign in letters:
         if name not in alphabet:
             raise AlphabetMismatch(f"{name!r} is not a generator of {alphabet.names}")
@@ -71,6 +76,13 @@ class Alphabet:
         for name in self.names:
             if not name or not name.replace("_", "").isalnum() or name[0].isdigit():
                 raise ValueError(f"invalid generator name: {name!r}")
+        # letter -> its text, as str() spells it; the keys are the letters
+        # of the alphabet
+        spelling = {}
+        for name in self.names:
+            spelling[name, 1], spelling[name, -1] = name, name + "'"
+        object.__setattr__(self, "_spelling", spelling)
+        object.__setattr__(self, "_letters", frozenset(spelling))
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -185,7 +197,7 @@ class GenWord:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return " ".join(n if s > 0 else n + "'" for n, s in self.letters)
+        return " ".join(map(self.alphabet._spelling.__getitem__, self.letters))
 
     def __repr__(self) -> str:
         return f"GenWord({self})"
@@ -224,7 +236,7 @@ class Endo:
         return cls.make(alphabet, {n: alphabet.gen(n) for n in alphabet.names})
 
     def __call__(self, w: GenWord) -> GenWord:
-        if w.alphabet != self.alphabet:
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise AlphabetMismatch("word is over a different alphabet")
         table = self._by_letter
         return GenWord._trusted(
@@ -233,7 +245,7 @@ class Endo:
 
     def then(self, other: "Endo") -> "Endo":
         """Composite applying ``self`` first, then ``other``."""
-        if other.alphabet != self.alphabet:
+        if other.alphabet is not self.alphabet and other.alphabet != self.alphabet:
             raise AlphabetMismatch("cannot compose endos over different alphabets")
         return Endo(
             self.alphabet, tuple((n, other(img)) for n, img in self.images)

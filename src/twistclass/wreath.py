@@ -8,7 +8,8 @@ letter 0 is always the first coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .labels import AlphabetMismatch, ClassLabel, Diverged
 from .words import Alphabet, Endo, GenWord, Letter
@@ -23,7 +24,8 @@ class WreathElem:
     active: bool = False
 
     def __post_init__(self):
-        if self.c0.alphabet != self.c1.alphabet:
+        a0, a1 = self.c0.alphabet, self.c1.alphabet
+        if a0 is not a1 and a0 != a1:
             raise AlphabetMismatch("coordinates over different alphabets")
 
     def __mul__(self, other: "WreathElem") -> "WreathElem":
@@ -69,13 +71,14 @@ class Recursion:
                 raise AlphabetMismatch("table entries over a different alphabet")
         # letter -> (coordinate letters of its image, activity bit), with
         # each coordinate paired with the letters that cancel it
-        by_letter: dict[Letter, tuple[tuple[_Coord, _Coord], int]] = {}
+        by_letter: dict[Letter, _Entry] = {}
         for name, elem in self.table:
             for sign, img in ((1, elem), (-1, ~elem)):
                 by_letter[(name, sign)] = (
                     (_coord(img.c0), _coord(img.c1)), int(img.active)
                 )
         object.__setattr__(self, "_by_letter", by_letter)
+        object.__setattr__(self, "_by_block", _Blocks(by_letter))
         if self.adding_machine is not None:
             img = phi_apply(self, self.adding_machine)
             want = WreathElem(
@@ -103,29 +106,73 @@ class Recursion:
 
 #: letters of a reduced coordinate word, and the inverse of each letter
 _Coord = tuple[tuple[Letter, ...], tuple[Letter, ...]]
+#: coordinate letters of an image, for each coordinate, and its activity
+_Entry = tuple[tuple[_Coord, _Coord], int]
+
+#: letters per block of the walk's lookahead table; a two-generator
+#: recursion has at most 4 * 3**3 = 108 reduced blocks (~60 KB of entries),
+#: and five letters a block roughly triple that for a few percent of speed
+BLOCK = 4
 
 
 def _coord(w: GenWord) -> _Coord:
     return w.letters, tuple([(n, -s) for n, s in w.letters])
 
 
-def _walk(
-    table: dict[Letter, tuple[tuple[_Coord, _Coord], int]],
-    letters: Iterable[Letter],
-    x: int,
-) -> tuple[list[Letter], int]:
+class _Blocks(dict):
+    """Block of BLOCK letters -> the ``_by_letter`` entry of its image,
+    filled on first lookup.
+
+    A block of a reduced word is reduced, so its coordinates, walked letter
+    by letter, are reduced too.  Entries hold the table's own letter
+    objects: each cancel letter is looked up, not built."""
+
+    def __init__(self, by_letter: dict[Letter, _Entry]):
+        super().__init__()
+        self.by_letter = by_letter
+        own = dict(zip(by_letter, by_letter))
+        self.inverse = {(n, s): own[n, -s] for n, s in by_letter}
+
+    def __missing__(self, block: tuple[Letter, ...]) -> _Entry:
+        coords = []
+        for x in (0, 1):
+            seq, active = _collect(map(self.by_letter.__getitem__, block), x)
+            coords.append((tuple(seq), tuple(map(self.inverse.__getitem__, seq))))
+        entry = self[block] = tuple(coords), active
+        return entry
+
+
+def _walk(rec: Recursion, letters: Sequence[Letter], x: int) -> tuple[list[Letter], int]:
     """Reduced letters of coordinate ``x`` of the image of a reduced word,
     and the activity of the image.
 
     Coordinate ``x`` of a product collects coordinate ``x ^ active`` of each
     factor, where ``active`` is the activity of the factors before it; the
     other coordinate is never built.  Each factor is reduced, so it cancels
-    against the collected letters only at the seam.
+    against the collected letters only at the seam.  A word of two blocks or
+    more is read ``BLOCK`` letters at a time, each block a factor whose
+    image the recursion's block table holds; the last ``< BLOCK`` letters
+    are read one at a time.
     """
+    n = len(letters)
+    if n < 2 * BLOCK:
+        return _collect(map(rec._by_letter.__getitem__, letters), x)
+    # zip over one iterator yields its aligned blocks and drops the partial
+    # last one, which the slice after it reads letter by letter
+    return _collect(
+        chain(
+            map(rec._by_block.__getitem__, zip(*[iter(letters)] * BLOCK)),
+            map(rec._by_letter.__getitem__, letters[n - n % BLOCK:]),
+        ),
+        x,
+    )
+
+
+def _collect(factors: Iterable[_Entry], x: int) -> tuple[list[Letter], int]:
+    """Coordinate ``x`` of the product of ``factors``, and its activity."""
     out: list[Letter] = []
     active = 0
-    for letter in letters:
-        coords, bit = table[letter]
+    for coords, bit in factors:
         seq, cancel = coords[x ^ active]
         active ^= bit
         if out and seq and out[-1] == cancel[0]:
@@ -142,10 +189,10 @@ def _walk(
 
 def phi_apply(rec: Recursion, w: GenWord) -> WreathElem:
     """Image of ``w`` under the homomorphic extension of the table."""
-    if w.alphabet != rec.alphabet:
+    if w.alphabet is not rec.alphabet and w.alphabet != rec.alphabet:
         raise AlphabetMismatch("word is over a different alphabet")
-    c0, active = _walk(rec._by_letter, w.letters, 0)
-    c1, _ = _walk(rec._by_letter, w.letters, 1)
+    c0, active = _walk(rec, w.letters, 0)
+    c1, _ = _walk(rec, w.letters, 1)
     return WreathElem(
         GenWord._trusted(rec.alphabet, tuple(c0)),
         GenWord._trusted(rec.alphabet, tuple(c1)),
@@ -155,11 +202,11 @@ def phi_apply(rec: Recursion, w: GenWord) -> WreathElem:
 
 def restrict(rec: Recursion, w: GenWord, v: str) -> GenWord:
     """Restriction w|_v at the vertex ``v`` (a word over '0'/'1')."""
-    if w.alphabet != rec.alphabet:
+    if w.alphabet is not rec.alphabet and w.alphabet != rec.alphabet:
         raise AlphabetMismatch("word is over a different alphabet")
     cur = w.letters
     for ch in v:
-        cur, _ = _walk(rec._by_letter, cur, _bit(ch))
+        cur, _ = _walk(rec, cur, _bit(ch))
     return GenWord._trusted(rec.alphabet, tuple(cur))
 
 
@@ -167,9 +214,9 @@ def coordinate_step(rec: Recursion, x: int, correction: GenWord, w: GenWord) -> 
     """One step of a moduli iterator: ``w|_x``, the letter-``x`` coordinate
     of the image of ``w``, left-multiplied by ``correction`` when ``w`` is
     active, i.e. outside the index-2 domain of the coordinate map."""
-    if w.alphabet != rec.alphabet:
+    if w.alphabet is not rec.alphabet and w.alphabet != rec.alphabet:
         raise AlphabetMismatch("word is over a different alphabet")
-    letters, active = _walk(rec._by_letter, w.letters, x)
+    letters, active = _walk(rec, w.letters, x)
     coord = GenWord._trusted(rec.alphabet, tuple(letters))
     return correction * coord if active else coord
 
@@ -215,13 +262,13 @@ def iterate_to_terminal(
 
 def act(rec: Recursion, w: GenWord, v: str) -> str:
     """Image of the vertex ``v`` under the tree automorphism defined by ``w``."""
-    if w.alphabet != rec.alphabet:
+    if w.alphabet is not rec.alphabet and w.alphabet != rec.alphabet:
         raise AlphabetMismatch("word is over a different alphabet")
     out = []
     cur = w.letters
     for ch in v:
         x = _bit(ch)
-        cur, active = _walk(rec._by_letter, cur, x)
+        cur, active = _walk(rec, cur, x)
         out.append(str(x ^ active))
     return "".join(out)
 

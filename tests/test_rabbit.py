@@ -124,6 +124,15 @@ def test_twist_power_matches_iteration_small_range():
         assert classify_twist_power(m) == classify_mcg(T ** m), m
 
 
+@pytest.mark.parametrize(
+    "m, label",
+    [(65535, RABBIT), (-65536, CORABBIT), (100000, AIRPLANE), (-99999, AIRPLANE)],
+)
+def test_twist_power_matches_iteration_at_the_parse_cap(m, label):
+    # words as long as the parser admits, walked a block at a time
+    assert classify_mcg(T ** m) == classify_twist_power(m) == label
+
+
 def test_iterated_psi_bar_shrinks_twist_powers():
     for k in range(-16, 17):
         w = T ** (4 * k)

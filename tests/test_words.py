@@ -257,6 +257,12 @@ def test_alphabet_mismatch_raises():
 def test_reduce_rejects_foreign_letters():
     with pytest.raises(AlphabetMismatch):
         PI1.word([("T", 1)])
+    # a letter outside the alphabet's letter set is named letter by letter,
+    # an unhashable one too
+    with pytest.raises(AlphabetMismatch):
+        GenWord(PI1, ((["alpha"], 1),))
+    with pytest.raises(ValueError, match="sign must be"):
+        GenWord(PI1, (("alpha", 2),))
 
 
 def test_alphabet_rejects_duplicates():

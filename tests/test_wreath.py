@@ -1,9 +1,12 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word, reduced_words
-from twistclass import periodic2, preperiod2, rabbit
+from twistclass import cli, periodic2, preperiod2, rabbit
 from twistclass.labels import Diverged, obstructed
 from twistclass.rabbit import (
     ADDING_MACHINE,
@@ -18,6 +21,7 @@ from twistclass.periodic2 import moduli_i_recursion, MODULI
 from twistclass.preperiod2 import TERMINAL_LABELS, moduli_q_recursion, psi_bar_q
 from twistclass.words import Endo
 from twistclass.wreath import (
+    BLOCK,
     MAX_ITERS,
     Recursion,
     WreathElem,
@@ -28,6 +32,7 @@ from twistclass.wreath import (
     restrict,
     substitute_recursion,
     twist_recursion,
+    _walk,
 )
 
 AL, BE, GA = PI1.gens()
@@ -249,3 +254,45 @@ def test_long_orbits_end_far_inside_the_step_budget():
     preperiod2.classify_quater(A ** 5000, ORBIT_STEPS)
     preperiod2.classify_quater(B ** 5000, ORBIT_STEPS)
     assert periodic2.classify_full(A * B ** 5000, iter_max=ORBIT_STEPS) == obstructed(5000)
+
+
+#: every built-in recursion, and the three the iterators walk, whose block
+#: tables the other tests leave warm
+WALKED = {name: factory() for name, (factory, _) in cli.RECURSIONS.items()} | {
+    "psi_bar": rabbit._MCG_REC,
+    "phi_bar": periodic2._MODULI_REC,
+    "psi_bar_q": preperiod2._MODULI_REC,
+}
+
+
+def letter_by_letter(rec, letters, x):
+    """Coordinate ``x`` and activity of the image of ``letters``, multiplied
+    out one letter's table image at a time."""
+    table = dict(rec.table)
+    one = rec.alphabet.identity()
+    image = WreathElem(one, one)
+    for name, sign in letters:
+        image = image * (table[name] if sign > 0 else ~table[name])
+    return list((image.c0, image.c1)[x].letters), int(image.active)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(WALKED)),
+    st.integers(0, 1),
+    st.integers(0, 4 * BLOCK + 3) | st.just(500),
+    st.randoms(use_true_random=False),
+)
+def test_block_walk_equals_the_letter_walk(name, x, length, rng):
+    rec = WALKED[name]
+    letters = reduced_random_word(rec.alphabet, length, rng).letters
+    want = letter_by_letter(rec, letters, x)
+    # a copy starts with an empty block table, walks it cold, then warm
+    copy = dataclasses.replace(rec)
+    assert copy._by_block == {}
+    for walked in (copy, copy, rec):
+        assert _walk(walked, letters, x) == want
+        assert _walk(walked, list(letters), x) == want
+    # a reduced word holds only reduced blocks
+    k = 2 * len(rec.alphabet.names)
+    assert len(copy._by_block) <= k * (k - 1) ** (BLOCK - 1)
