@@ -1,10 +1,10 @@
 """Contraction machinery: restriction closures, nuclei, word problems,
 Moore diagrams, automaton comparison and homotopy shifts.
 
-Every closure search runs through one bounded breadth-first walk, _closure,
-with one bound rule: a search may visit ``bound`` distinct states, and the
-next distinct state raises BoundExceeded.  A blown bound is evidence (not
-proof) that the recursion is not contracting on the given seeds.  A
+Every closure search keeps the bound rule of _closure, a bounded
+breadth-first walk: a search may visit ``bound`` distinct states, and the
+next distinct state raises BoundExceeded.  A blown bound is evidence
+(not proof) that the recursion is not contracting on the given seeds.  A
 self-loop is proof: if a non-trivial word ``w`` fixes a letter ``x`` and
 ``w|_x = w``, then ``w^n|_x = w^n`` for every ``n``, so the infinitely many
 powers of ``w`` all lie in the word-level nucleus.  The nucleus search
@@ -17,9 +17,9 @@ second is strictly stronger; see is_kernel_element.  Both walk cyclically
 reduced conjugates of restrictions; the active state that ends a
 triviality walk is the witness of a non-trivial action.
 
-One nucleus search expands each word once: its restrictions go through a
-memo that lives for that call, and each round of its fixed-point loop scans
-only the states the previous round added.
+One nucleus search keeps one restriction graph, in which each word is
+expanded once, and each round of its fixed-point loop scans only the states
+the previous round added.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 from .labels import AlphabetMismatch, BoundExceeded, NotContracting
 from .words import GenWord, _core_span
-from .wreath import Recursion, WreathElem, phi_apply
+from .wreath import Recursion, WreathElem, act, phi_apply
 
 
 def _sorted_words(words: Iterable[GenWord]) -> list[GenWord]:
@@ -67,24 +67,6 @@ def _closure(
             if child not in graph:
                 queue.append(child)
     return graph, None
-
-
-def _peel(graph: dict[GenWord, tuple[GenWord, ...]]) -> set[GenWord]:
-    """Nodes of a closed graph reachable from a directed cycle (self-loops
-    included): repeatedly drop nodes that have no predecessors."""
-    indegree = dict.fromkeys(graph, 0)
-    for kids in graph.values():
-        for child in kids:
-            indegree[child] += 1
-    sources = [g for g, n in indegree.items() if n == 0]
-    while sources:
-        g = sources.pop()
-        del indegree[g]
-        for child in graph[g]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                sources.append(child)
-    return set(indegree)
 
 
 def _cyclic_core(w: GenWord) -> GenWord:
@@ -142,12 +124,11 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     if w.alphabet != rec.alphabet:
         raise AlphabetMismatch(f"word must be over {rec.alphabet.names}")
     phi = functools.partial(phi_apply, rec)
+    root = _cyclic_core(w)
     graph, stop = _closure(
-        [_cyclic_core(w)],
-        lambda g: () if g.is_identity else _core_children(phi, g),
-        bound,
+        [root], lambda g: () if g.is_identity else _core_children(phi, g), bound
     )
-    return stop is None and not _peel(graph)
+    return stop is None and not _components(graph, root, {}, [], bound)
 
 
 def action_equal(
@@ -157,46 +138,108 @@ def action_equal(
     return is_trivial_action(rec, u * ~v, bound)
 
 
+#: tree level whose vertices, numbered by their binary spelling, key the
+#: up-to-action index; the identity acts on them as this translate image
+_LEVEL = 4
+_VERTICES = bytes(range(2**_LEVEL))
+
+
+def _level_actions(rec: Recursion) -> dict[tuple[str, int], bytes]:
+    """Letter -> its action on level ``_LEVEL`` as a ``bytes.translate``
+    table; built on first use and kept on ``rec`` (not on a copy)."""
+    tables = rec.__dict__.get("_level_actions")
+    if tables is None:
+        spelled = [format(v, f"0{_LEVEL}b") for v in _VERTICES]
+        tables = {
+            x: bytes(int(act(rec, rec.alphabet.word([x]), v), 2) for v in spelled)
+            .ljust(256, b"\0")
+            for x in rec._by_letter
+        }
+        object.__setattr__(rec, "_level_actions", tables)
+    return tables
+
+
 class _ActionIndex:
     """Canonical representatives of words up to equal tree action.
 
-    Candidate matches are pre-filtered by the activity portrait of the first
-    few tree levels; only portrait collisions pay for a word-problem run.
+    Words are keyed by their action on level ``_LEVEL`` (which fixes the
+    activity of each restriction above it); only words with equal keys pay
+    for a word-problem run.
     """
 
-    PORTRAIT_DEPTH = 4
-
-    def __init__(self, phi: Restrict, bound: int):
+    def __init__(self, rec: Recursion, phi: Restrict, bound: int):
         self.phi = phi
         self.bound = bound
+        self.tables = _level_actions(rec)
         self.rep_of: dict[GenWord, GenWord] = {}
-        self.by_portrait: dict[tuple, list[GenWord]] = {}
+        self.by_key: dict[bytes, list[GenWord]] = {}
 
-    def _portrait(self, w: GenWord) -> tuple:
-        bits = []
-        level = [w]
-        for _ in range(self.PORTRAIT_DEPTH):
-            nxt = []
-            for g in level:
-                elem = self.phi(g)
-                bits.append(elem.active)
-                nxt.append(elem.c0)
-                nxt.append(elem.c1)
-            level = nxt
-        return tuple(bits)
+    def key(self, w: GenWord) -> bytes:
+        # the tree acts on the right: a letter's table applies after earlier ones
+        return functools.reduce(
+            bytes.translate, map(self.tables.__getitem__, w.letters), _VERTICES
+        )
 
     def canon(self, w: GenWord) -> GenWord:
         hit = self.rep_of.get(w)
         if hit is not None:
             return hit
-        key = self._portrait(w)
-        for cand in self.by_portrait.get(key, []):
+        key = self.key(w)
+        for cand in self.by_key.get(key, ()):
             if _active_restriction(self.phi, w * ~cand, self.bound) is None:
                 self.rep_of[w] = cand
                 return cand
         self.rep_of[w] = w
-        self.by_portrait.setdefault(key, []).append(w)
+        self.by_key.setdefault(key, []).append(w)
         return w
+
+
+def _components(
+    graph: dict[GenWord, tuple[GenWord, ...]],
+    root: GenWord,
+    comp: dict[GenWord, int],
+    sizes: list[int],
+    cap: int,
+) -> list[GenWord]:
+    """Place the words ``root`` reaches in ``graph`` that ``comp`` lacks in
+    strongly connected components (Tarjan 1972, iteratively); return the
+    ones on a cycle.  Component ``k`` gets ``sizes[k]``, its size plus the
+    sizes of the components it points to, capped at ``cap``: a bound on the
+    closure size of its words that may overshoot, never undershoot.
+    """
+    # each word on the stack -> the least stack position it reaches
+    low = {root: 0}
+    stack = [root]
+    work = [(root, iter(graph[root]), 0)]
+    cyclic: list[GenWord] = []
+    while work:
+        v, kids, at = work[-1]
+        for c in kids:
+            if c in comp:
+                continue
+            if c in low:  # on the stack: c and v share a component
+                low[v] = min(low[v], low[c])
+            else:
+                low[c] = len(stack)
+                work.append((c, iter(graph[c]), len(stack)))
+                stack.append(c)
+                break
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == at:
+                members = stack[at:]
+                del stack[at:]
+                k = len(sizes)
+                comp.update(dict.fromkeys(members, k))
+                out = {comp[c] for x in members for c in graph[x]}
+                if k in out:
+                    cyclic += members
+                    out.discard(k)
+                sizes.append(min(cap, len(members) + sum(map(sizes.__getitem__, out))))
+    return cyclic
 
 
 def nucleus(
@@ -212,8 +255,9 @@ def nucleus(
     With ``up_to_action`` words are identified when their tree actions agree,
     which computes the nucleus of the faithful quotient instead; recursions
     whose quotient has torsion are only contracting in that sense.  Raises
-    BoundExceeded when the candidate set, one restriction closure or the
-    search work grows past the budget, which reports the recursion as not
+    BoundExceeded when the candidate set or the restriction closure of one
+    product grows past ``bound``, or the search expands more than
+    ``max(100 * bound, 200000)`` distinct words: the recursion is then not
     contracting within bound.
 
     Over words the search also raises NotContracting, a BoundExceeded,
@@ -223,48 +267,70 @@ def nucleus(
     never finish.  Up to action the powers of ``w`` may coincide (``b^4``
     acts trivially under the moduli-i recursion), so that mode has no
     certificate and stops only on its budget.
+
+    Each scanned product ``g * s`` adds the words reachable from a cycle of
+    its closure.  One restriction graph serves all products: a product's
+    new words are expanded once and placed in strongly connected
+    components, and a flood from the new cyclic ones finds the new states.
     """
     one = rec.alphabet.identity()
-    # every restriction of this search, memoised for this call only
-    phi = functools.cache(functools.partial(phi_apply, rec))
+    phi = functools.partial(phi_apply, rec)
     if up_to_action:
-        canon = _ActionIndex(phi, bound).canon
+        # the index's word problems share the restrictions of the search
+        phi = functools.cache(phi)
+        canon = _ActionIndex(rec, phi, bound).canon
     else:
         # one object per word: set and dict lookups then match on identity
         # and skip the dataclass __eq__
         interned: dict[GenWord, GenWord] = {}
         canon = lambda w: interned.setdefault(w, w)
     budget = max(100 * bound, 200000)
+    # the restriction graph: each expanded word -> its two canonical children
+    graph: dict[GenWord, tuple[GenWord, GenWord]] = {}
+    # the component of each placed word, and each component's size bound
+    comp: dict[GenWord, int] = {}
+    sizes: list[int] = []
 
-    def children(w: GenWord) -> tuple[GenWord, GenWord]:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise BoundExceeded("nucleus search expanded more states than its budget")
-        elem = phi(w)
-        c0, c1 = canon(elem.c0), canon(elem.c1)
-        # w is interned too, so `is` finds a self-loop
-        if not up_to_action and not elem.active and w.letters and (
-            c0 is w or c1 is w
-        ):
-            raise NotContracting(w, 0 if c0 is w else 1)
-        return c0, c1
+    def expand(w: GenWord) -> tuple[GenWord, GenWord]:
+        kids = graph.get(w)
+        if kids is None:
+            if len(graph) >= budget:
+                raise BoundExceeded(
+                    "nucleus search expanded more states than its budget"
+                )
+            elem = phi(w)
+            c0, c1 = canon(elem.c0), canon(elem.c1)
+            # w is interned too, so `is` finds a self-loop
+            if not up_to_action and not elem.active and w.letters and (
+                c0 is w or c1 is w
+            ):
+                raise NotContracting(w, 0 if c0 is w else 1)
+            kids = graph[w] = c0, c1
+        return kids
 
-    cache: dict[GenWord, set[GenWord]] = {}
-
-    def eventual_range(w: GenWord) -> set[GenWord]:
-        # class representatives appearing as restrictions of w at
-        # arbitrarily large depth
-        w = canon(w)
-        if w not in cache:
-            cache[w] = _peel(_closure([w], children, bound)[0])
-        return cache[w]
+    def settle(root: GenWord) -> list[GenWord]:
+        try:
+            # the plain walk from root with placed words as leaves: it meets
+            # the unplaced words in the same order (so canon does too) and
+            # can only blow the bound later
+            _closure([root], lambda w: () if w in comp else expand(w), bound)
+        except NotContracting as err:
+            # a certificate at the root is the first state any walk meets;
+            # the plain walk finds which one it meets first, or the bound
+            if err.state is root:
+                raise
+            _closure([root], expand, bound)
+        cyclic = _components(graph, root, comp, sizes, bound + 1)
+        if sizes[comp[root]] > bound:  # may overshoot: the walk counts exactly
+            _closure([root], expand, bound)
+        return cyclic
 
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
     symmetric.discard(one)
     gen_list = _sorted_words(symmetric)
 
-    # a state scanned in an earlier round has its products' ranges in result
+    # a state scanned in an earlier round has its products' states in result;
+    # result | extra is closed under restriction, so a flood stops there
     result: set[GenWord] = set()
     extra = {canon(one)}
     while extra:
@@ -272,7 +338,12 @@ def nucleus(
         new, extra = extra, set()
         for g in _sorted_words(new):
             for s in [one] + gen_list:
-                for h in eventual_range(g * s):
+                root = canon(g * s)
+                if root in comp:
+                    continue
+                todo = settle(root)
+                while todo:
+                    h = todo.pop()
                     if h not in result and h not in extra:
                         extra.add(h)
                         if len(result) + len(extra) > bound:
@@ -280,6 +351,7 @@ def nucleus(
                                 f"nucleus candidate set grew past {bound}: "
                                 f"not contracting within bound"
                             )
+                        todo += graph[h]
     return result
 
 
@@ -330,20 +402,14 @@ def moore_diagram(
     """Build the Moore diagram of a state-closed set, or report violations.
 
     A restriction target counts as one of the given states when their tree
-    actions agree, the first such state in sort order; the lookup is the
-    up-to-action index of :func:`nucleus`, seeded with the states, and
-    ``bound`` caps each of its action comparisons.
+    actions agree, the first such state in sort order: a target that is no
+    state goes to the up-to-action index of :func:`nucleus`, built on first
+    need and seeded with the states; ``bound`` caps its action comparisons.
     """
     ordered = _sorted_words(set(states))
     pos = {s: i for i, s in enumerate(ordered)}
     phi = functools.cache(functools.partial(phi_apply, rec))
-    canon = _ActionIndex(phi, bound).canon
-    for s in ordered:
-        canon(s)
-
-    def resolve(target: GenWord) -> int | None:
-        hit = pos.get(target)
-        return hit if hit is not None else pos.get(canon(target))
+    index = None
 
     next0, next1, active = [], [], []
     violations: list[tuple[GenWord, int, GenWord]] = []
@@ -351,7 +417,13 @@ def moore_diagram(
         elem = phi(s)
         row = []
         for letter, child in ((0, elem.c0), (1, elem.c1)):
-            hit = resolve(child)
+            hit = pos.get(child)
+            if hit is None:
+                if index is None:
+                    index = _ActionIndex(rec, phi, bound)
+                    for state in ordered:
+                        index.canon(state)
+                hit = pos.get(index.canon(child))
             if hit is None:
                 violations.append((s, letter, child))
             else:

@@ -8,6 +8,7 @@ sequence equality.  Conjugation follows the right-action convention
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -17,8 +18,11 @@ from .labels import AlphabetMismatch, WordParseError
 Letter = tuple[str, int]
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
+def _reduce(
+    letters: Iterable[Letter], out: list[Letter] | None = None
+) -> tuple[Letter, ...]:
+    # reduces ``letters`` onto ``out``, whose letters are reduced already
+    out = [] if out is None else out
     for name, sign in letters:
         if out and out[-1][0] == name and out[-1][1] == -sign:
             out.pop()
@@ -335,9 +339,9 @@ class _Letters(dict):
 @functools.cache
 def _token_pattern(
     names: tuple[str, ...],
-) -> tuple[re.Pattern[str], re.Pattern[str], _Letters]:
+) -> tuple[re.Pattern[str], re.Pattern[str], _Letters, dict[Letter, Letter]]:
     """The token pattern of an alphabet, with the letter pattern and the
-    letter table that read a run.
+    letter table that read a run, and the inverse of each letter.
 
     A token follows whitespace and is a run of letters, a '^' with its
     exponent, or any other single character.  A letter is a generator name
@@ -355,18 +359,22 @@ def _token_pattern(
     digits are ASCII only: ``\\d`` also admits '²', which int() refuses."""
     alternatives = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
     table = _Letters()
+    # keyed by the table's own letters, which most parsed letters are
+    inverse: dict[Letter, Letter] = {}
     for name in names:
-        table[name], table[name + "'"] = (name, 1), (name, -1)
+        table[name], table[name + "'"] = up, down = (name, 1), (name, -1)
+        inverse[up], inverse[down] = down, up
     run = rf"(?:{alternatives})(?:\s*(?:{alternatives}|')){{0,{MAX_WORD_LENGTH}}}"
     return (
         re.compile(rf"\s*(?:({run})|(\^[+-]?[0-9]*)|(\S))"),
         re.compile(rf"(?:{alternatives})(?:\s*')*"),
         table,
+        inverse,
     )
 
 
 def _parse(alphabet: Alphabet, text: str) -> GenWord:
-    tokens, letter, table = _token_pattern(alphabet.names)
+    tokens, letter, table, inverse = _token_pattern(alphabet.names)
     # the letters of the open parenthesis level, reduced once when it closes
     # (not a product per factor, which keeps long words linear); the
     # enclosing levels wait on the stack with the position of their '('
@@ -455,4 +463,13 @@ def _parse(alphabet: Alphabet, text: str) -> GenWord:
             raise WordParseError(
                 f"word expands past {MAX_WORD_LENGTH} letters", factor_at
             )
-    return GenWord._trusted(alphabet, _reduce(letters))
+    # a C-level scan finds the first letter followed by its inverse; the
+    # letters before it are reduced, so the reducing loop starts there, and
+    # a text that str() spelled from a reduced word never runs it
+    try:
+        i = operator.indexOf(
+            map(operator.eq, letters[1:], map(inverse.__getitem__, letters)), True
+        )
+    except ValueError:
+        return GenWord._trusted(alphabet, tuple(letters))
+    return GenWord._trusted(alphabet, _reduce(letters[i:], letters[:i]))

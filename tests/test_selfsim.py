@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word
@@ -22,9 +23,11 @@ from twistclass.periodic2 import MODULI, moduli_i_recursion
 from twistclass.preperiod2 import moduli_q_recursion
 from twistclass.selfsim import (
     _ActionIndex,
+    _active_restriction,
     _closure,
+    _components,
     _cyclic_core,
-    _peel,
+    _level_actions,
     _sorted_words,
     NotStateClosed,
     automata_distinct,
@@ -34,8 +37,8 @@ from twistclass.selfsim import (
     moore_diagram,
     nucleus,
 )
-from twistclass.words import GenWord
-from twistclass.wreath import Recursion, phi_apply, restrict
+from twistclass.words import Alphabet, GenWord
+from twistclass.wreath import Recursion, WreathElem, act, phi_apply, restrict
 
 T, S = MCG.gens()
 A, B = MODULI.gens()
@@ -103,12 +106,45 @@ def closed_graphs(draw):
     }
 
 
+def peel(graph):
+    """Nodes of a closed graph reachable from a directed cycle (self-loops
+    included): repeatedly drop nodes that have no predecessors.  The plain
+    nucleus search below takes its ranges from it."""
+    indegree = dict.fromkeys(graph, 0)
+    for kids in graph.values():
+        for child in kids:
+            indegree[child] += 1
+    sources = [g for g, n in indegree.items() if n == 0]
+    while sources:
+        g = sources.pop()
+        del indegree[g]
+        for child in graph[g]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                sources.append(child)
+    return set(indegree)
+
+
 @given(closed_graphs())
 def test_peel_keeps_what_a_cycle_reaches(graph):
     reach = {g: reachable(graph, g) for g in graph}
     cyclic = {g for g in graph if g in reach[g]}
     want = {g for g in graph if any(g in reach[c] for c in cyclic)}
-    assert _peel(graph) == want
+    assert peel(graph) == want
+
+
+@given(closed_graphs(), st.integers(1, 10))
+def test_components_bound_closure_sizes_and_find_cycles(graph, cap):
+    comp, sizes, cyclic = {}, [], []
+    for root in graph:
+        if root not in comp:
+            cyclic += _components(graph, root, comp, sizes, cap)
+    reach = {g: reachable(graph, g) for g in graph}
+    assert sorted(cyclic) == [g for g in graph if g in reach[g]]
+    for g in graph:
+        assert min(cap, len(reach[g] | {g})) <= sizes[comp[g]] <= cap
+        for h in graph:
+            assert (comp[g] == comp[h]) == (g == h or g in reach[h] and h in reach[g])
 
 
 def closure_size(rec, w, step):
@@ -263,13 +299,56 @@ def test_rabbit_nucleus_sizes():
     assert sizes == {"R": 9, "A": 7, "C": 9}
 
 
+class PortraitIndex:
+    """Canonical representatives of words up to equal tree action, keyed by
+    the activity portrait of the first PORTRAIT_DEPTH tree levels: the
+    activity of each restriction there, by a walk of phi_apply calls.  Only
+    portrait collisions pay for a word-problem run."""
+
+    PORTRAIT_DEPTH = 4
+
+    def __init__(self, phi, bound):
+        self.phi = phi
+        self.bound = bound
+        self.rep_of = {}
+        self.by_portrait = {}
+
+    def portrait(self, w):
+        bits = []
+        level = [w]
+        for _ in range(self.PORTRAIT_DEPTH):
+            nxt = []
+            for g in level:
+                elem = self.phi(g)
+                bits.append(elem.active)
+                nxt += [elem.c0, elem.c1]
+            level = nxt
+        return tuple(bits)
+
+    def canon(self, w):
+        hit = self.rep_of.get(w)
+        if hit is not None:
+            return hit
+        key = self.portrait(w)
+        for cand in self.by_portrait.get(key, []):
+            if _active_restriction(self.phi, w * ~cand, self.bound) is None:
+                self.rep_of[w] = cand
+                return cand
+        self.rep_of[w] = w
+        self.by_portrait.setdefault(key, []).append(w)
+        return w
+
+
 def plain_nucleus(rec, gens, bound, up_to_action):
     """The nucleus search with nothing shared: every restriction is a fresh
-    phi_apply call, every root gets a fresh closure, and every round
-    rescans all states found so far."""
+    phi_apply call, every root gets a fresh closure, every round rescans
+    all states found so far, and up to action words are keyed by their
+    activity portrait.  Its work budget counts every children call (the
+    search's counts each word once); at the bounds compared here neither
+    binds."""
     one = rec.alphabet.identity()
     if up_to_action:
-        canon = _ActionIndex(partial(phi_apply, rec), bound).canon
+        canon = PortraitIndex(partial(phi_apply, rec), bound).canon
     else:
         interned = {}
         canon = lambda w: interned.setdefault(w, w)
@@ -293,7 +372,7 @@ def plain_nucleus(rec, gens, bound, up_to_action):
     def eventual_range(w):
         w = canon(w)
         if w not in ranges:
-            ranges[w] = _peel(_closure([w], children, bound)[0])
+            ranges[w] = peel(_closure([w], children, bound)[0])
         return ranges[w]
 
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
@@ -321,7 +400,8 @@ def outcome(search, rec, bound, up_to_action):
     try:
         return search(rec, rec.alphabet.gens(), bound, up_to_action)
     except BoundExceeded as err:
-        return type(err), str(err), err.args if isinstance(err, NotContracting) else None
+        witness = (err.state, err.vertex) if isinstance(err, NotContracting) else None
+        return type(err), str(err), witness
 
 
 @pytest.mark.parametrize("name", list(cli.RECURSIONS))
@@ -332,6 +412,90 @@ def test_nucleus_matches_the_plain_search(name):
             assert outcome(nucleus, rec, bound, up_to_action) == outcome(
                 plain_nucleus, rec, bound, up_to_action
             ), (bound, up_to_action)
+
+
+@st.composite
+def small_recursions(draw):
+    """Recursions over two or three generators, one of them active, whose
+    table coordinates are words of 0-2 letters."""
+    names = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    alphabet = Alphabet(names)
+    letters = [(name, sign) for name in names for sign in (1, -1)]
+    word = st.lists(st.sampled_from(letters), max_size=2).map(alphabet.word)
+    active = draw(st.sampled_from(names))
+    return Recursion.make(alphabet, {
+        name: WreathElem(draw(word), draw(word), name == active) for name in names
+    })
+
+
+AB2 = Alphabet(("a", "b"))
+#: a -> <1, 1>, b -> <a, b b>s: the self-loop a b b|_0 = a b b lies past the
+#: root of a product's closure, and at bound 4 the plain walk from that root
+#: blows the bound before it meets the loop (found by a random search)
+LOOP_PAST_THE_BOUND = Recursion.make(AB2, {
+    "a": WreathElem(AB2.identity(), AB2.identity()),
+    "b": WreathElem(AB2.word([("a", 1)]), AB2.word([("b", 1), ("b", 1)]), True),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_recursions(), st.integers(1, 13))
+@example(LOOP_PAST_THE_BOUND, 4)
+def test_nucleus_matches_the_plain_search_on_small_recursions(rec, bound):
+    for up_to_action in (False, True):
+        assert outcome(nucleus, rec, bound, up_to_action) == outcome(
+            plain_nucleus, rec, bound, up_to_action
+        ), up_to_action
+
+
+RECURSIONS = {name: factory() for name, (factory, _) in cli.RECURSIONS.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RECURSIONS)),
+    st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_level_action_keys_split_words_like_activity_portraits(name, lengths, rng):
+    rec = RECURSIONS[name]
+    words = [random_word(rec.alphabet, n, rng) for n in lengths]
+    # a 16th power acts trivially on level 4, so these collide with words
+    words += [w * words[-1] ** 16 for w in words]
+    key = _ActionIndex(rec, None, 0).key
+    portrait = PortraitIndex(partial(phi_apply, rec), 0).portrait
+    pairs = {(key(w), portrait(w)) for w in words}
+    # equal keys exactly when equal portraits: keys and portraits pair up
+    assert len(pairs) == len({k for k, _ in pairs}) == len({p for _, p in pairs})
+    for w in words[:2]:
+        vertices = [format(v, "04b") for v in range(16)]
+        assert list(key(w)) == [int(act(rec, w, v), 2) for v in vertices]
+
+
+def test_level_action_tables_are_built_once_per_recursion(monkeypatch):
+    rec = moduli_q_recursion()
+    gens = rec.alphabet.gens()
+    acts = Counter()
+
+    def spy(r, w, v):
+        acts[id(r)] += 1
+        return act(r, w, v)
+
+    monkeypatch.setattr(selfsim, "act", spy)
+    assert "_level_actions" not in vars(rec)
+    nucleus(rec, gens, 10000)
+    assert not acts
+    tables = _level_actions(rec)
+    assert acts == {id(rec): 16 * 2 * len(gens)}
+    states = nucleus(rec, gens, 10000, up_to_action=True)
+    moore_diagram(rec, states | {gens[0] ** 2})
+    assert _level_actions(rec) is tables
+    assert acts == {id(rec): 16 * 2 * len(gens)}
+    copy = dataclasses.replace(rec)
+    assert copy == rec and "_level_actions" not in vars(copy)
+    assert _level_actions(copy) == tables
+    assert _level_actions(copy) is not tables
+    assert acts[id(copy)] == 16 * 2 * len(gens)
 
 
 CONTRACTING = [name for name in cli.RECURSIONS if name != "moduli-i"]
@@ -393,6 +557,24 @@ def test_mcg_diagram_active_states():
     d = moore_diagram(rec, nucleus(rec, MCG.gens(), 100))
     active = {d.states[i] for i in range(d.size) if d.active[i]}
     assert active == {T, ~T, T * S, ~S * ~T}
+
+
+@pytest.mark.parametrize("name", ["mcg-rabbit", "rabbit", "moduli-q"])
+def test_a_word_level_diagram_runs_no_word_problem(name, monkeypatch):
+    # every restriction of a word-level nucleus state is a state, so the
+    # up-to-action index of moore_diagram is never built
+    rec = cli.RECURSIONS[name][0]()
+    states = nucleus(rec, rec.alphabet.gens(), 10000)
+    closures = []
+    closure = selfsim._closure
+
+    def spy(roots, children, bound):
+        closures.append(bound)
+        return closure(roots, children, bound)
+
+    monkeypatch.setattr(selfsim, "_closure", spy)
+    assert moore_diagram(rec, states).size == len(states)
+    assert closures == []
 
 
 def test_moore_diagram_not_closed_error():

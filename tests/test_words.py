@@ -345,6 +345,22 @@ def test_str_round_trip(alphabet):
         assert alphabet.parse(str(w)) == w
 
 
+@pytest.mark.parametrize("alphabet", [MCG, PI1], ids=lambda a: "-".join(a.names))
+def test_parse_reduces_from_the_first_cancellation(alphabet):
+    # the parser reduces only from the first letter followed by its inverse:
+    # a cancellation at the start, inside, at the end and across the whole
+    # text, and none, against the letter-by-letter reduction of the text
+    rng = random.Random(29)
+    for _ in range(20):
+        w = random_word(alphabet, rng.randrange(2, 300), rng)
+        k = rng.randrange(len(w) + 1)
+        u, v = alphabet.word(w.letters[:k]), alphabet.word(w.letters[k:])
+        for text in (f"{w}", f"{~u} {w}", f"{u} {~u} {v}", f"{w} {~v}",
+                     f"{w} {~w}", f"{u} {w} {~v}"):
+            letters = [alphabet.parse(piece).letters[0] for piece in text.split()]
+            assert alphabet.parse(text) == alphabet.word(letters), text
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(WordParseError) as err:
         GRAMMAR.parse("T x")
