@@ -267,7 +267,9 @@ def lift_path(
     family and 4.7 times in the i family; that is a measurement, not a proof
     that each lift stays on its branch.  The preimages of each base point
     are evaluated once: a bisection carries those of the segment's end to
-    its right half, so a lift makes one evaluation per lifted point.
+    its right half, so a lift makes one evaluation per lifted point.  The
+    convergence test reads the whole lifted path, against the one fixed
+    point whose ball holds its first point (:func:`_nearest_label`).
 
     ``start`` must be a preimage of the first point (checked loosely with the
     unguarded formula: lift chains may legitimately converge to a puncture).
@@ -276,23 +278,29 @@ def lift_path(
         raise ValueError(
             f"start {start} does not cover the path start {points[0]}"
         )
+    preimages = fam.preimages
     lifted = [start]
+    append = lifted.append
     current = start
-    tol = _STEP_TOL * max(1.0, abs(current))
+    tol = _STEP_TOL * r if (r := abs(current)) > 1.0 else _STEP_TOL
     pending = []  # right halves of bisected segments, with their preimages
+    push, pop = pending.append, pending.pop
     a = points[0]
     for b in points[1:]:
-        p0, p1 = fam.preimages(b)
+        p0, p1 = preimages(b)
         depth = 0
         while True:
             d0, d1 = abs(p0 - current), abs(p1 - current)
-            best, step = (p0, d0) if d0 <= d1 else (p1, d1)
+            if d0 <= d1:
+                best, step = p0, d0
+            else:
+                best, step = p1, d1
             if step > tol:
                 if depth < _BISECTION_FLOOR:
                     depth += 1
-                    pending.append((b, depth, p0, p1))
+                    push((b, depth, p0, p1))
                     b = (a + b) / 2
-                    p0, p1 = fam.preimages(b)
+                    p0, p1 = preimages(b)
                     continue
                 if abs(p0 - p1) < 2 * tol:
                     raise BranchAmbiguity(
@@ -300,12 +308,12 @@ def lift_path(
                         f"twice the scaled step tolerance {tol}"
                     )
             current = best
-            lifted.append(best)
-            tol = _STEP_TOL * max(1.0, abs(current))
+            append(best)
+            tol = _STEP_TOL * r if (r := abs(current)) > 1.0 else _STEP_TOL
             a = b
             if not pending:
                 break
-            b, depth, p0, p1 = pending.pop()
+            b, depth, p0, p1 = pop()
     return lifted
 
 
@@ -344,27 +352,34 @@ def _decimate(fam: RationalFamily, points: Sequence[complex]) -> list[complex]:
     or pole.  A dropped run and the chord closing it both lie in the disc,
     which is convex and holds no branch value, so the chord is homotopic to
     the run: lifting the decimated path ends on the same sheet at the same
-    endpoint.  The first and last points are always kept.
+    endpoint.  The first and last points are always kept.  The convergence
+    test reads the undecimated path, against the one fixed point whose ball
+    holds its first point (:func:`_nearest_label`).
     """
     guards = _PUNCTURES + fam.poles
 
     def radius(z: complex) -> float:
-        return _DISC_FRACTION * min([abs(z - g) for g in guards])
+        least = abs(z - guards[0])
+        for g in guards[1:]:
+            if abs(z - g) < least:
+                least = abs(z - g)
+        return _DISC_FRACTION * least
 
     anchor = points[0]
     kept = [anchor]
     reach = radius(anchor)
     inside: complex | None = None  # last point of the current run in the disc
     for z in points[1:]:
-        dist = abs(z - anchor)
-        if inside is not None and dist >= reach:
-            anchor, reach, inside = inside, radius(inside), None
+        if abs(z - anchor) < reach:
+            inside = z
+            continue
+        if inside is not None:
+            anchor, reach = inside, radius(inside)
             kept.append(anchor)
-            dist = abs(z - anchor)
-        if dist < reach:
+        if abs(z - anchor) < reach:
             inside = z
         else:
-            anchor, reach = z, radius(z)
+            anchor, reach, inside = z, radius(z), None
             kept.append(anchor)
     if inside is not None:
         kept.append(inside)
@@ -394,16 +409,12 @@ def classify_numeric(
     the dynamics moves away.
 
     Each lift bisects the base path under the step tolerance of
-    :func:`lift_path`.  Bisection only adds points, so each lifted
-    path is decimated before it becomes the next lift's input: runs of
-    points inside a disc around the last kept point, clear of every
-    puncture and pole, give way to one chord (:func:`_decimate`).  The disc
-    is convex and holds no branch value, so the chord is homotopic to the
-    run and the next lift ends on the same sheet at the same endpoint; a
-    lifted loop that fits in one disc collapses to a chord instead of being
-    carried along.  The convergence test still judges every point of the
-    undecimated lift.  The first lift, of the word's loop polyline, is
-    assembled from the family's lifted letter loops (:func:`_first_lift`).
+    :func:`lift_path`.  Bisection only adds points, so each lifted path is
+    decimated, up to homotopy, before it becomes the next lift's input
+    (:func:`_decimate`): a lifted loop that fits in one puncture-free disc
+    collapses to a chord instead of being carried along.  The first lift,
+    of the word's loop polyline, is assembled from the family's lifted
+    letter loops (:func:`_first_lift`).
     """
     _check_alphabet(fam, w)
     if w.is_identity:
@@ -433,9 +444,13 @@ def classify_numeric(
 def _nearest_label(
     fam: RationalFamily, points: Sequence[complex]
 ) -> ClassLabel | None:
+    """Label of the fixed point whose ``_CONVERGENCE_RADIUS`` ball holds every
+    point, or None.  The balls are disjoint, so only the ball that holds the
+    first point can hold them all: the path is checked against it alone."""
     for p, label in fam.fixed_points:
-        if all(abs(z - p) < _CONVERGENCE_RADIUS for z in points):
-            return label
+        if abs(points[0] - p) < _CONVERGENCE_RADIUS:
+            inside = all(abs(z - p) < _CONVERGENCE_RADIUS for z in points)
+            return label if inside else None
     return None
 
 

@@ -6,7 +6,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reduced_words
@@ -515,6 +515,44 @@ def plain_lift_path(fam, points, start):
     return lifted
 
 
+def plain_decimate(fam, points):
+    """The decimation with a list of guard distances built for every kept
+    point, and the test for leaving the disc made before the test for
+    staying in it."""
+    guards = _PUNCTURES + fam.poles
+
+    def radius(z):
+        return _DISC_FRACTION * min([abs(z - g) for g in guards])
+
+    anchor = points[0]
+    kept = [anchor]
+    reach = radius(anchor)
+    inside = None
+    for z in points[1:]:
+        dist = abs(z - anchor)
+        if inside is not None and dist >= reach:
+            anchor, reach, inside = inside, radius(inside), None
+            kept.append(anchor)
+            dist = abs(z - anchor)
+        if dist < reach:
+            inside = z
+        else:
+            anchor, reach = z, radius(z)
+            kept.append(anchor)
+    if inside is not None:
+        kept.append(inside)
+    return kept
+
+
+def plain_nearest_label(fam, points):
+    """The convergence test that tries every fixed point's ball on the whole
+    path in turn, without reading which ball holds the first point."""
+    for p, label in fam.fixed_points:
+        if all(abs(z - p) < moduli._CONVERGENCE_RADIUS for z in points):
+            return label
+    return None
+
+
 def lift_outcome(lift, fam, points, start):
     try:
         return lift(fam, points, start)
@@ -583,6 +621,96 @@ def test_lift_path_evaluates_each_lifted_point_once(name):
     assert per_lift
     for made, lifted_points in per_lift:
         assert made == lifted_points
+
+
+# --- decimation and the convergence test against the plain loops -----------
+
+_QUATER = next(fam for fam in _FAMILIES if fam.poles)
+
+
+# next to the quater pole at -1 the first disc has radius 0.1, and 0.4 if the
+# pole were not a guard, which would drop the second point
+@example((_QUATER, [-0.8 + 0.01j, -0.65 + 0.01j, -0.8 + 0.01j]))
+@settings(max_examples=100, deadline=None)
+@given(polylines())
+def test_decimate_matches_the_plain_decimation(case):
+    fam, points = case
+    kept, plain = _decimate(fam, points), plain_decimate(fam, points)
+    # matched by identity, since a polyline may repeat a value
+    assert len(kept) == len(plain)
+    assert all(z is y for z, y in zip(kept, plain))
+
+
+_POINT_SETS = ["all inside", "first inside", "first outside", "none inside"]
+
+
+@st.composite
+def point_sets(draw):
+    """A family and points drawn around one of its fixed points, each inside
+    or outside that point's convergence ball as the drawn case says; a
+    "first inside" or "first outside" set has a later point on the other
+    side of the ball's boundary."""
+    fam = draw(st.sampled_from(_FAMILIES))
+    centre, _ = draw(st.sampled_from(fam.fixed_points))
+    case = draw(st.sampled_from(_POINT_SETS))
+    n = draw(st.integers(1 if case in ("all inside", "none inside") else 2, 12))
+    inside = [case in ("all inside", "first inside")] * n
+    if case.startswith("first"):
+        for k in range(1, n):
+            inside[k] = draw(st.booleans())
+        inside[draw(st.integers(1, n - 1))] = case == "first outside"
+    points = []
+    for flag in inside:
+        scale = draw(st.floats(0, 0.99) if flag else st.floats(1.01, 100))
+        angle = draw(st.floats(0, 2 * cmath.pi))
+        radius = scale * moduli._CONVERGENCE_RADIUS
+        points.append(centre + radius * cmath.exp(1j * angle))
+    return fam, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_nearest_label_matches_the_plain_test(case):
+    fam, points = case
+    assert moduli._nearest_label(fam, points) == plain_nearest_label(fam, points)
+
+
+def plain_classification(fam, w):
+    """The lifted paths :func:`classify_numeric` judges and its label, built
+    from the word path with the plain lift, decimation and convergence
+    test."""
+    paths, hits, last = [], 0, None
+    lifted = plain_lift_path(fam, word_path(fam, w), fam.basepoint)
+    for _ in range(moduli.MAX_LIFTS):
+        paths.append(lifted)
+        label = plain_nearest_label(fam, lifted)
+        if label is not None and label == last:
+            hits += 1
+            if hits >= 3:
+                return paths, label
+        else:
+            hits, last = (0 if label is None else 1), label
+        lifted = plain_lift_path(fam, plain_decimate(fam, lifted), lifted[-1])
+    raise AssertionError(f"{w}: no label within {moduli.MAX_LIFTS} lifts")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_the_lift_chain_matches_the_plain_chain(name):
+    # every path the convergence test judges, float for float, and so the
+    # label and the lift count too
+    fam = FAMILIES[name]()
+    nearest_label = moduli._nearest_label
+    judged = []
+
+    def captured(fam, points):
+        judged.append(list(points))
+        return nearest_label(fam, points)
+
+    with mock.patch.object(moduli, "_nearest_label", captured):
+        for w in reduced_words(fam.alphabet, 3, include_identity=False):
+            judged.clear()
+            label = classify_numeric(fam, w)
+            assert (judged, label) == plain_classification(fam, w), str(w)
 
 
 # --- the first lift, assembled from lifted letter loops ----------------------
