@@ -26,7 +26,7 @@ from .labels import (
     WordParseError,
 )
 from .words import MAX_WORD_LENGTH, GenWord
-from .wreath import Recursion, iterate_to_terminal, phi_apply
+from .wreath import Recursion, iterate_to_terminal
 
 #: flat registry of the built-in recursions, keyed by CLI name; the flag
 #: takes a nucleus up to action, where the word-level one is infinite
@@ -117,8 +117,8 @@ def _cmd_classify_quater(args) -> int:
 
 def _diagram(name: str, bound: int) -> selfsim.MooreDiagram:
     """Moore diagram of the nucleus of the built-in recursion ``name``, the
-    nucleus taken up to action where the registry says so; ``bound`` caps
-    every closure search of both steps."""
+    nucleus taken up to action where the registry says so; both steps keep
+    the bound rule and the letter budget of ``bound``."""
     factory, up_to_action = RECURSIONS[name]
     rec = factory()
     states = selfsim.nucleus(rec, rec.alphabet.gens(), bound, up_to_action)
@@ -167,7 +167,7 @@ def _cmd_trivial(args) -> int:
     rec = RECURSIONS[args.name][0]()
     w = rec.alphabet.parse(args.word)
     witness = selfsim._active_restriction(
-        functools.partial(phi_apply, rec), w, args.bound
+        selfsim._restrictions(rec, args.bound), w, args.bound
     )
     text = str(w)
     payload = {
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     json_opt = _option("--json", action="store_true",
                        help="machine-readable output")
     bound = _option("--bound", type=_positive_int, default=10000,
-                    help="state bound for closures and nuclei")
+                    help="states a nucleus or one word-problem walk may hold; "
+                    "restrictions may hold max(100x, 100000) letters")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *options: argparse.ArgumentParser, **kwargs):

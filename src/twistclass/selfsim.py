@@ -1,14 +1,18 @@
 """Contraction machinery: restriction closures, nuclei, word problems,
 Moore diagrams, automaton comparison and homotopy shifts.
 
-Every closure search keeps the bound rule of _closure, a bounded
-breadth-first walk: a search may visit ``bound`` distinct states, and the
-next distinct state raises BoundExceeded.  A blown bound is evidence
-(not proof) that the recursion is not contracting on the given seeds.  A
-self-loop is proof: if a non-trivial word ``w`` fixes a letter ``x`` and
-``w|_x = w``, then ``w^n|_x = w^n`` for every ``n``, so the infinitely many
-powers of ``w`` all lie in the word-level nucleus.  The nucleus search
-raises NotContracting, a BoundExceeded, as soon as it meets one.
+Every search keeps two rules.  ``bound`` caps the states of its answer:
+a word problem's breadth-first walk (_closure) may visit ``bound`` distinct
+states, and a nucleus search's candidate set may hold ``bound`` states; one
+more raises BoundExceeded.  A letter budget caps the work: the restrictions
+one search computes may hold ``max(100 * bound, 100_000)`` letters in all
+(_restrictions), so a recursion whose restrictions grow gives up early.
+A blown bound or budget is evidence (not proof) that the recursion is not
+contracting on the given seeds.  A self-loop is proof: if a non-trivial word
+``w`` fixes a letter ``x`` and ``w|_x = w``, then ``w^n|_x = w^n`` for every
+``n``, so the infinitely many powers of ``w`` all lie in the word-level
+nucleus.  The nucleus search raises NotContracting, a BoundExceeded, as
+soon as it meets one.
 
 Two word problems live here and they differ: triviality of the tree action
 (no active restriction anywhere) and membership in the kernel of the
@@ -16,10 +20,6 @@ iterated recursion (all deep restrictions become the empty word).  The
 second is strictly stronger; see is_kernel_element.  Both walk cyclically
 reduced conjugates of restrictions; the active state that ends a
 triviality walk is the witness of a non-trivial action.
-
-One nucleus search keeps one restriction graph, in which each word is
-expanded once, and each round of its fixed-point loop scans only the states
-the previous round added.
 """
 
 from __future__ import annotations
@@ -80,6 +80,23 @@ def _cyclic_core(w: GenWord) -> GenWord:
 Restrict = Callable[[GenWord], WreathElem]
 
 
+def _restrictions(rec: Recursion, bound: int) -> Restrict:
+    """``phi_apply`` over ``rec`` under the letter budget of one search with
+    bound ``bound``: the call whose restrictions pass ``max(100 * bound,
+    100_000)`` letters in all raises BoundExceeded."""
+    limit, spent = max(100 * bound, 100_000), 0
+
+    def phi(w: GenWord) -> WreathElem:
+        nonlocal spent
+        elem = phi_apply(rec, w)
+        spent += len(elem.c0.letters) + len(elem.c1.letters)
+        if spent > limit:
+            raise BoundExceeded(f"restrictions grew past {limit} letters")
+        return elem
+
+    return phi
+
+
 def _core_children(phi: Restrict, w: GenWord) -> tuple[GenWord, GenWord] | None:
     """Cyclic cores of the two restrictions of ``w``; None if ``w`` is active."""
     elem = phi(w)
@@ -91,9 +108,7 @@ def _core_children(phi: Restrict, w: GenWord) -> tuple[GenWord, GenWord] | None:
 def _active_restriction(phi: Restrict, w: GenWord, bound: int) -> GenWord | None:
     """An active, cyclically reduced conjugate of a restriction of ``w`` under
     ``phi``, or None when ``w`` acts trivially (see :func:`is_trivial_action`)."""
-    return _closure(
-        [_cyclic_core(w)], lambda g: _core_children(phi, g), bound
-    )[1]
+    return _closure([_cyclic_core(w)], lambda g: _core_children(phi, g), bound)[1]
 
 
 def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -105,7 +120,7 @@ def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     tables conjugate rather than shorten), and it stops at the first active
     state.
     """
-    return _active_restriction(functools.partial(phi_apply, rec), w, bound) is None
+    return _active_restriction(_restrictions(rec, bound), w, bound) is None
 
 
 def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -123,12 +138,12 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     """
     if w.alphabet != rec.alphabet:
         raise AlphabetMismatch(f"word must be over {rec.alphabet.names}")
-    phi = functools.partial(phi_apply, rec)
+    phi = _restrictions(rec, bound)
     root = _cyclic_core(w)
     graph, stop = _closure(
         [root], lambda g: () if g.is_identity else _core_children(phi, g), bound
     )
-    return stop is None and not _components(graph, root, {}, [], bound)
+    return stop is None and not _components(graph, [root], set())
 
 
 def action_equal(
@@ -196,49 +211,43 @@ class _ActionIndex:
 
 def _components(
     graph: dict[GenWord, tuple[GenWord, ...]],
-    root: GenWord,
-    comp: dict[GenWord, int],
-    sizes: list[int],
-    cap: int,
+    roots: list[GenWord],
+    placed: set[GenWord],
 ) -> list[GenWord]:
-    """Place the words ``root`` reaches in ``graph`` that ``comp`` lacks in
+    """Place the words ``roots`` reach in ``graph`` that ``placed`` lacks in
     strongly connected components (Tarjan 1972, iteratively); return the
-    ones on a cycle.  Component ``k`` gets ``sizes[k]``, its size plus the
-    sizes of the components it points to, capped at ``cap``: a bound on the
-    closure size of its words that may overshoot, never undershoot.
-    """
-    # each word on the stack -> the least stack position it reaches
-    low = {root: 0}
-    stack = [root]
-    work = [(root, iter(graph[root]), 0)]
+    ones on a cycle."""
     cyclic: list[GenWord] = []
-    while work:
-        v, kids, at = work[-1]
-        for c in kids:
-            if c in comp:
-                continue
-            if c in low:  # on the stack: c and v share a component
-                low[v] = min(low[v], low[c])
+    for root in roots:
+        if root in placed:
+            continue
+        # each word on the stack -> the least stack position it reaches
+        low = {root: 0}
+        stack = [root]
+        work = [(root, iter(graph[root]), 0)]
+        while work:
+            v, kids, at = work[-1]
+            for c in kids:
+                if c in placed:
+                    continue
+                if c in low:  # on the stack: c and v share a component
+                    low[v] = min(low[v], low[c])
+                else:
+                    low[c] = len(stack)
+                    work.append((c, iter(graph[c]), len(stack)))
+                    stack.append(c)
+                    break
             else:
-                low[c] = len(stack)
-                work.append((c, iter(graph[c]), len(stack)))
-                stack.append(c)
-                break
-        else:
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == at:
-                members = stack[at:]
-                del stack[at:]
-                k = len(sizes)
-                comp.update(dict.fromkeys(members, k))
-                out = {comp[c] for x in members for c in graph[x]}
-                if k in out:
-                    cyclic += members
-                    out.discard(k)
-                sizes.append(min(cap, len(members) + sum(map(sizes.__getitem__, out))))
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == at:
+                    members = stack[at:]
+                    del stack[at:]
+                    placed.update(members)
+                    if len(members) > 1 or v in graph[v]:
+                        cyclic += members
     return cyclic
 
 
@@ -255,10 +264,10 @@ def nucleus(
     With ``up_to_action`` words are identified when their tree actions agree,
     which computes the nucleus of the faithful quotient instead; recursions
     whose quotient has torsion are only contracting in that sense.  Raises
-    BoundExceeded when the candidate set or the restriction closure of one
-    product grows past ``bound``, or the search expands more than
-    ``max(100 * bound, 200000)`` distinct words: the recursion is then not
-    contracting within bound.
+    BoundExceeded when the candidate set grows past ``bound`` states, when
+    the restrictions of the search pass ``max(100 * bound, 100_000)``
+    letters, or, up to action, when one comparison of the index walks past
+    ``bound`` states: the recursion is then not contracting within bound.
 
     Over words the search also raises NotContracting, a BoundExceeded,
     on the first expanded state ``w`` that is not the identity, is
@@ -266,15 +275,17 @@ def nucleus(
     ``w`` are then in the nucleus, so it is infinite and the search could
     never finish.  Up to action the powers of ``w`` may coincide (``b^4``
     acts trivially under the moduli-i recursion), so that mode has no
-    certificate and stops only on its budget.
+    certificate and stops only on its bound or budget.
 
-    Each scanned product ``g * s`` adds the words reachable from a cycle of
-    its closure.  One restriction graph serves all products: a product's
-    new words are expanded once and placed in strongly connected
-    components, and a flood from the new cyclic ones finds the new states.
+    Each round scans the products ``g * s`` of the states the last round
+    added, and adds the words reachable from a cycle of their closures.  One
+    restriction graph serves all products: each product's new words are
+    expanded breadth first, one pass places the round's new words in
+    strongly connected components, and a flood from the cyclic ones finds
+    the new states.
     """
     one = rec.alphabet.identity()
-    phi = functools.partial(phi_apply, rec)
+    phi = _restrictions(rec, bound)
     if up_to_action:
         # the index's word problems share the restrictions of the search
         phi = functools.cache(phi)
@@ -284,46 +295,9 @@ def nucleus(
         # and skip the dataclass __eq__
         interned: dict[GenWord, GenWord] = {}
         canon = lambda w: interned.setdefault(w, w)
-    budget = max(100 * bound, 200000)
     # the restriction graph: each expanded word -> its two canonical children
     graph: dict[GenWord, tuple[GenWord, GenWord]] = {}
-    # the component of each placed word, and each component's size bound
-    comp: dict[GenWord, int] = {}
-    sizes: list[int] = []
-
-    def expand(w: GenWord) -> tuple[GenWord, GenWord]:
-        kids = graph.get(w)
-        if kids is None:
-            if len(graph) >= budget:
-                raise BoundExceeded(
-                    "nucleus search expanded more states than its budget"
-                )
-            elem = phi(w)
-            c0, c1 = canon(elem.c0), canon(elem.c1)
-            # w is interned too, so `is` finds a self-loop
-            if not up_to_action and not elem.active and w.letters and (
-                c0 is w or c1 is w
-            ):
-                raise NotContracting(w, 0 if c0 is w else 1)
-            kids = graph[w] = c0, c1
-        return kids
-
-    def settle(root: GenWord) -> list[GenWord]:
-        try:
-            # the plain walk from root with placed words as leaves: it meets
-            # the unplaced words in the same order (so canon does too) and
-            # can only blow the bound later
-            _closure([root], lambda w: () if w in comp else expand(w), bound)
-        except NotContracting as err:
-            # a certificate at the root is the first state any walk meets;
-            # the plain walk finds which one it meets first, or the bound
-            if err.state is root:
-                raise
-            _closure([root], expand, bound)
-        cyclic = _components(graph, root, comp, sizes, bound + 1)
-        if sizes[comp[root]] > bound:  # may overshoot: the walk counts exactly
-            _closure([root], expand, bound)
-        return cyclic
+    placed: set[GenWord] = set()
 
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
     symmetric.discard(one)
@@ -336,22 +310,38 @@ def nucleus(
     while extra:
         result |= extra
         new, extra = extra, set()
+        roots = []
         for g in _sorted_words(new):
             for s in [one] + gen_list:
                 root = canon(g * s)
-                if root in comp:
+                if root in graph:
                     continue
-                todo = settle(root)
-                while todo:
-                    h = todo.pop()
-                    if h not in result and h not in extra:
-                        extra.add(h)
-                        if len(result) + len(extra) > bound:
-                            raise BoundExceeded(
-                                f"nucleus candidate set grew past {bound}: "
-                                f"not contracting within bound"
-                            )
-                        todo += graph[h]
+                roots.append(root)
+                # breadth first, with expanded words as leaves
+                queue = deque([root])
+                while queue:
+                    w = queue.popleft()
+                    if w in graph:
+                        continue
+                    elem = phi(w)
+                    kids = graph[w] = canon(elem.c0), canon(elem.c1)
+                    # w is interned too, so `is` finds a self-loop
+                    if not up_to_action and not elem.active and w.letters and (
+                        kids[0] is w or kids[1] is w
+                    ):
+                        raise NotContracting(w, 0 if kids[0] is w else 1)
+                    queue += kids
+        todo = _components(graph, roots, placed)
+        while todo:
+            h = todo.pop()
+            if h not in result and h not in extra:
+                extra.add(h)
+                if len(result) + len(extra) > bound:
+                    raise BoundExceeded(
+                        f"nucleus candidate set grew past {bound}: "
+                        f"not contracting within bound"
+                    )
+                todo += graph[h]
     return result
 
 
@@ -408,7 +398,7 @@ def moore_diagram(
     """
     ordered = _sorted_words(set(states))
     pos = {s: i for i, s in enumerate(ordered)}
-    phi = functools.cache(functools.partial(phi_apply, rec))
+    phi = functools.cache(_restrictions(rec, bound))
     index = None
 
     next0, next1, active = [], [], []

@@ -28,6 +28,13 @@ class WreathElem:
         if a0 is not a1 and a0 != a1:
             raise AlphabetMismatch("coordinates over different alphabets")
 
+    @classmethod
+    def _trusted(cls, c0: GenWord, c1: GenWord, active: bool) -> "WreathElem":
+        """Element from coordinates over one alphabet; nothing is checked."""
+        e = object.__new__(cls)
+        e.__dict__.update(c0=c0, c1=c1, active=active)
+        return e
+
     def __mul__(self, other: "WreathElem") -> "WreathElem":
         if self.active:
             return WreathElem(
@@ -193,7 +200,7 @@ def phi_apply(rec: Recursion, w: GenWord) -> WreathElem:
         raise AlphabetMismatch("word is over a different alphabet")
     c0, active = _walk(rec, w.letters, 0)
     c1, _ = _walk(rec, w.letters, 1)
-    return WreathElem(
+    return WreathElem._trusted(
         GenWord._trusted(rec.alphabet, tuple(c0)),
         GenWord._trusted(rec.alphabet, tuple(c1)),
         bool(active),

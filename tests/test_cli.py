@@ -269,9 +269,13 @@ def test_distinct_stops_on_the_certificate_too(capsys):
 
 
 def test_a_blown_budget_has_no_witness(capsys):
-    code, payload, _ = run_json(capsys, "nucleus", "moduli-i", "--bound", "1")
-    assert code == 3
-    assert payload == {"command": "nucleus", "label": "bound-exceeded"}
+    # the rabbit nucleus has 9 states, so bound 8 is the largest that gives up
+    for bound in ("1", "8"):
+        code, payload, _ = run_json(capsys, "nucleus", "rabbit", "--bound", bound)
+        assert code == 3
+        assert payload == {"command": "nucleus", "label": "bound-exceeded"}
+    code, payload, _ = run_json(capsys, "nucleus", "rabbit", "--bound", "9")
+    assert code == 0 and payload["count"] == 9
 
 
 @pytest.mark.parametrize("value, before", [

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import math
 import random
+import time
+import tracemalloc
 from collections import Counter
-from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_word
@@ -28,6 +30,7 @@ from twistclass.selfsim import (
     _components,
     _cyclic_core,
     _level_actions,
+    _restrictions,
     _sorted_words,
     NotStateClosed,
     automata_distinct,
@@ -133,18 +136,19 @@ def test_peel_keeps_what_a_cycle_reaches(graph):
     assert peel(graph) == want
 
 
-@given(closed_graphs(), st.integers(1, 10))
-def test_components_bound_closure_sizes_and_find_cycles(graph, cap):
-    comp, sizes, cyclic = {}, [], []
-    for root in graph:
-        if root not in comp:
-            cyclic += _components(graph, root, comp, sizes, cap)
+@given(closed_graphs(), st.data())
+def test_components_place_what_the_roots_reach_and_find_cycles(graph, data):
+    # two passes, as two rounds of a nucleus search: the second skips the
+    # words the first placed
     reach = {g: reachable(graph, g) for g in graph}
-    assert sorted(cyclic) == [g for g in graph if g in reach[g]]
-    for g in graph:
-        assert min(cap, len(reach[g] | {g})) <= sizes[comp[g]] <= cap
-        for h in graph:
-            assert (comp[g] == comp[h]) == (g == h or g in reach[h] and h in reach[g])
+    placed, seen = set(), set()
+    for _ in range(2):
+        roots = data.draw(st.lists(st.sampled_from(sorted(graph)), max_size=4))
+        cyclic = _components(graph, roots, placed)
+        new = set().union(*[reach[g] | {g} for g in roots]) - seen
+        assert placed == seen | new
+        assert sorted(cyclic) == sorted(g for g in new if g in reach[g])
+        seen = placed.copy()
 
 
 def closure_size(rec, w, step):
@@ -303,11 +307,13 @@ class PortraitIndex:
     """Canonical representatives of words up to equal tree action, keyed by
     the activity portrait of the first PORTRAIT_DEPTH tree levels: the
     activity of each restriction there, by a walk of phi_apply calls.  Only
-    portrait collisions pay for a word-problem run."""
+    portrait collisions pay for a word-problem run, whose restrictions come
+    from ``phi``."""
 
     PORTRAIT_DEPTH = 4
 
-    def __init__(self, phi, bound):
+    def __init__(self, rec, phi, bound):
+        self.rec = rec
         self.phi = phi
         self.bound = bound
         self.rep_of = {}
@@ -319,7 +325,7 @@ class PortraitIndex:
         for _ in range(self.PORTRAIT_DEPTH):
             nxt = []
             for g in level:
-                elem = self.phi(g)
+                elem = phi_apply(self.rec, g)
                 bits.append(elem.active)
                 nxt += [elem.c0, elem.c1]
             level = nxt
@@ -340,26 +346,33 @@ class PortraitIndex:
 
 
 def plain_nucleus(rec, gens, bound, up_to_action):
-    """The nucleus search with nothing shared: every restriction is a fresh
-    phi_apply call, every root gets a fresh closure, every round rescans
-    all states found so far, and up to action words are keyed by their
-    activity portrait.  Its work budget counts every children call (the
-    search's counts each word once); at the bounds compared here neither
-    binds."""
+    """The nucleus search with nothing shared: every root gets a fresh
+    closure with no state bound, every round rescans all states found so
+    far, and up to action words are keyed by their activity portrait.  All
+    closures of a round come first, then the candidate check.  The letter
+    budget charges the restrictions of each distinct word once, the first
+    time a closure or a word problem meets it; portraits are not charged."""
     one = rec.alphabet.identity()
+    limit, spent, charged = max(100 * bound, 100_000), 0, set()
+
+    def phi(w):
+        nonlocal spent
+        elem = phi_apply(rec, w)
+        if w not in charged:
+            charged.add(w)
+            spent += len(elem.c0) + len(elem.c1)
+            if spent > limit:
+                raise BoundExceeded(f"restrictions grew past {limit} letters")
+        return elem
+
     if up_to_action:
-        canon = PortraitIndex(partial(phi_apply, rec), bound).canon
+        canon = PortraitIndex(rec, phi, bound).canon
     else:
         interned = {}
         canon = lambda w: interned.setdefault(w, w)
-    budget = max(100 * bound, 200000)
 
     def children(w):
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise BoundExceeded("nucleus search expanded more states than its budget")
-        elem = phi_apply(rec, w)
+        elem = phi(w)
         c0, c1 = canon(elem.c0), canon(elem.c1)
         if not up_to_action and not elem.active and w.letters and (
             c0 is w or c1 is w
@@ -372,7 +385,7 @@ def plain_nucleus(rec, gens, bound, up_to_action):
     def eventual_range(w):
         w = canon(w)
         if w not in ranges:
-            ranges[w] = peel(_closure([w], children, bound)[0])
+            ranges[w] = peel(_closure([w], children, math.inf)[0])
         return ranges[w]
 
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
@@ -380,20 +393,18 @@ def plain_nucleus(rec, gens, bound, up_to_action):
     gen_list = _sorted_words(symmetric)
     result = {canon(one)}
     while True:
-        extra = set()
-        for g in _sorted_words(result):
-            for s in [one] + gen_list:
-                for h in eventual_range(g * s):
-                    if h not in result and h not in extra:
-                        extra.add(h)
-                        if len(result) + len(extra) > bound:
-                            raise BoundExceeded(
-                                f"nucleus candidate set grew past {bound}: "
-                                f"not contracting within bound"
-                            )
-        if not extra:
+        found = set().union(*[
+            eventual_range(g * s) for g in _sorted_words(result)
+            for s in [one] + gen_list
+        ])
+        if len(result | found) > bound:
+            raise BoundExceeded(
+                f"nucleus candidate set grew past {bound}: "
+                f"not contracting within bound"
+            )
+        if found <= result:
             return result
-        result |= extra
+        result |= found
 
 
 def outcome(search, rec, bound, up_to_action):
@@ -415,13 +426,13 @@ def test_nucleus_matches_the_plain_search(name):
 
 
 @st.composite
-def small_recursions(draw):
+def small_recursions(draw, longest=2):
     """Recursions over two or three generators, one of them active, whose
-    table coordinates are words of 0-2 letters."""
+    table coordinates are words of 0 to ``longest`` letters."""
     names = ("a", "b", "c")[: draw(st.integers(2, 3))]
     alphabet = Alphabet(names)
     letters = [(name, sign) for name in names for sign in (1, -1)]
-    word = st.lists(st.sampled_from(letters), max_size=2).map(alphabet.word)
+    word = st.lists(st.sampled_from(letters), max_size=longest).map(alphabet.word)
     active = draw(st.sampled_from(names))
     return Recursion.make(alphabet, {
         name: WreathElem(draw(word), draw(word), name == active) for name in names
@@ -430,8 +441,8 @@ def small_recursions(draw):
 
 AB2 = Alphabet(("a", "b"))
 #: a -> <1, 1>, b -> <a, b b>s: the self-loop a b b|_0 = a b b lies past the
-#: root of a product's closure, and at bound 4 the plain walk from that root
-#: blows the bound before it meets the loop (found by a random search)
+#: root of a product's closure, more than 4 states into its walk, and the
+#: search names it at every bound (found by a random search)
 LOOP_PAST_THE_BOUND = Recursion.make(AB2, {
     "a": WreathElem(AB2.identity(), AB2.identity()),
     "b": WreathElem(AB2.word([("a", 1)]), AB2.word([("b", 1), ("b", 1)]), True),
@@ -446,6 +457,95 @@ def test_nucleus_matches_the_plain_search_on_small_recursions(rec, bound):
         assert outcome(nucleus, rec, bound, up_to_action) == outcome(
             plain_nucleus, rec, bound, up_to_action
         ), up_to_action
+
+
+#: nucleus sizes of the built-ins, each with its registry flag
+NUCLEUS_SIZES = {
+    "rabbit": 9, "airplane": 7, "corabbit": 9, "mcg-rabbit": 7, "fi": 8,
+    "fstar": 14, "q14": 9, "q34": 9, "q512": 10, "moduli-q": 9,
+}
+
+
+def test_a_nucleus_answers_exactly_from_its_size_on():
+    # the one rule: a search answers when its candidate set stays within
+    # the bound, and a contracting built-in's set never outgrows its nucleus
+    for name, (factory, up_to_action) in cli.RECURSIONS.items():
+        rec = factory()
+        gens = rec.alphabet.gens()
+        if name == "moduli-i":
+            for bound in range(1, 41):
+                with pytest.raises(NotContracting) as err:
+                    nucleus(rec, gens, bound, up_to_action)
+                assert (err.value.state, err.value.vertex) == (B, 1)
+            continue
+        states = nucleus(rec, gens, 10000, up_to_action)
+        assert len(states) == NUCLEUS_SIZES[name]
+        for bound in range(1, 41):
+            if bound >= len(states):
+                assert nucleus(rec, gens, bound, up_to_action) == states
+            else:
+                with pytest.raises(BoundExceeded) as err:
+                    nucleus(rec, gens, bound, up_to_action)
+                assert not isinstance(err.value, NotContracting)
+
+
+ABC = Alphabet(("alpha", "beta", "gamma"))
+#: alpha -> <beta, 1>, beta -> <alpha alpha, 1>, gamma -> <1, gamma' beta
+#: alpha'>s: alpha^2|_00 = alpha^4, so restrictions double in length every
+#: two levels, and no word is its own restriction
+GROWING = Recursion.make(ABC, {
+    "alpha": WreathElem(ABC.parse("beta"), ABC.identity()),
+    "beta": WreathElem(ABC.parse("alpha alpha"), ABC.identity()),
+    "gamma": WreathElem(ABC.identity(), ABC.parse("gamma' beta alpha'"), True),
+})
+
+
+@pytest.mark.parametrize("up_to_action", [False, True])
+def test_growing_restrictions_blow_the_letter_budget(up_to_action):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BoundExceeded, match="1000000 letters") as err:
+            nucleus(GROWING, ABC.gens(), 10000, up_to_action)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(err.value, NotContracting)
+    assert took < 1.0
+    assert peak < 100 * 2**20
+
+
+def test_the_letter_budget_counts_the_letters_of_restrictions():
+    # alpha^n|_0 = beta^n and alpha^n|_1 = 1: each call spends n letters
+    alpha = ABC.gen("alpha")
+    for bound, limit in ((1, 100_000), (2000, 200_000)):
+        phi = _restrictions(GROWING, bound)
+        phi(alpha ** (limit // 2))
+        phi(alpha ** (limit // 2))
+        with pytest.raises(BoundExceeded, match=f"past {limit} letters"):
+            phi(alpha)
+
+
+def test_word_problems_on_growing_restrictions_blow_the_letter_budget():
+    alpha = ABC.gen("alpha")
+    for search in (is_trivial_action, is_kernel_element):
+        with pytest.raises(BoundExceeded, match="letters"):
+            search(GROWING, alpha)
+    with pytest.raises(BoundExceeded, match="letters"):
+        moore_diagram(GROWING, [ABC.identity(), alpha])
+
+
+@seed(19)
+@settings(max_examples=10, deadline=None)
+@given(small_recursions(3))
+def test_every_search_ends_at_the_default_bound(rec):
+    # with a set or BoundExceeded: any other exception fails the test
+    for up_to_action in (False, True):
+        try:
+            assert isinstance(nucleus(rec, rec.alphabet.gens(), 10000, up_to_action), set)
+        except BoundExceeded:
+            pass
 
 
 RECURSIONS = {name: factory() for name, (factory, _) in cli.RECURSIONS.items()}
@@ -463,7 +563,7 @@ def test_level_action_keys_split_words_like_activity_portraits(name, lengths, rn
     # a 16th power acts trivially on level 4, so these collide with words
     words += [w * words[-1] ** 16 for w in words]
     key = _ActionIndex(rec, None, 0).key
-    portrait = PortraitIndex(partial(phi_apply, rec), 0).portrait
+    portrait = PortraitIndex(rec, None, 0).portrait
     pairs = {(key(w), portrait(w)) for w in words}
     # equal keys exactly when equal portraits: keys and portraits pair up
     assert len(pairs) == len({k for k, _ in pairs}) == len({p for _, p in pairs})
