@@ -166,9 +166,7 @@ def _cmd_distinct(args) -> int:
 def _cmd_trivial(args) -> int:
     rec = RECURSIONS[args.name][0]()
     w = rec.alphabet.parse(args.word)
-    witness = selfsim._active_restriction(
-        selfsim._restrictions(rec, args.bound), w, args.bound
-    )
+    witness = selfsim._Search(rec, args.bound).walk(w)[1]
     text = str(w)
     payload = {
         "command": "trivial",

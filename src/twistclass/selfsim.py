@@ -1,12 +1,12 @@
 """Contraction machinery: restriction closures, nuclei, word problems,
 Moore diagrams, automaton comparison and homotopy shifts.
 
-Every search keeps two rules.  ``bound`` caps the states of its answer:
-a word problem's breadth-first walk (_closure) may visit ``bound`` distinct
-states, and a nucleus search's candidate set may hold ``bound`` states; one
-more raises BoundExceeded.  A letter budget caps the work: the restrictions
-one search computes may hold ``max(100 * bound, 100_000)`` letters in all
-(_restrictions), so a recursion whose restrictions grow gives up early.
+Every search is one _Search and keeps two rules.  ``bound`` caps the
+states of its answer: a word problem's breadth-first walk may visit
+``bound`` distinct states, and a nucleus search's candidate set may hold
+``bound`` states; one more raises BoundExceeded.  A letter budget caps the
+work: the restrictions one search computes may hold ``max(100 * bound,
+100_000)`` letters in all, so a recursion whose restrictions grow gives up.
 A blown bound or budget is evidence (not proof) that the recursion is not
 contracting on the given seeds.  A self-loop is proof: if a non-trivial word
 ``w`` fixes a letter ``x`` and ``w|_x = w``, then ``w^n|_x = w^n`` for every
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .labels import AlphabetMismatch, BoundExceeded, NotContracting
 from .words import GenWord, _core_span
@@ -38,77 +38,12 @@ def _sorted_words(words: Iterable[GenWord]) -> list[GenWord]:
     return sorted(words, key=GenWord.sort_key)
 
 
-def _closure(
-    roots: Iterable[GenWord],
-    children: Callable[[GenWord], tuple[GenWord, ...] | None],
-    bound: int,
-) -> tuple[dict[GenWord, tuple[GenWord, ...]], GenWord | None]:
-    """Breadth-first closure of ``roots`` under ``children``.
-
-    Returns the successor graph of the states visited and the state at
-    which ``children`` stopped the walk by returning None (None when the
-    walk finished, and then every child is a key of the graph).  The
-    (bound+1)-th distinct state raises BoundExceeded before ``children``
-    sees it.
-    """
-    graph: dict[GenWord, tuple[GenWord, ...]] = {}
-    queue = deque(roots)
-    while queue:
-        w = queue.popleft()
-        if w in graph:
-            continue
-        if len(graph) >= bound:
-            raise BoundExceeded(f"restriction closure grew past {bound} states")
-        kids = children(w)
-        if kids is None:
-            return graph, w
-        graph[w] = kids
-        for child in kids:
-            if child not in graph:
-                queue.append(child)
-    return graph, None
-
-
 def _cyclic_core(w: GenWord) -> GenWord:
     """Cyclically reduced conjugate of ``w`` (matching end pairs stripped)."""
     i, j = _core_span(w.letters)
     if i == 0:
         return w
     return GenWord._trusted(w.alphabet, w.letters[i:j])
-
-
-Restrict = Callable[[GenWord], WreathElem]
-
-
-def _restrictions(rec: Recursion, bound: int) -> Restrict:
-    """``phi_apply`` over ``rec`` under the letter budget of one search with
-    bound ``bound``: the call whose restrictions pass ``max(100 * bound,
-    100_000)`` letters in all raises BoundExceeded."""
-    limit, spent = max(100 * bound, 100_000), 0
-
-    def phi(w: GenWord) -> WreathElem:
-        nonlocal spent
-        elem = phi_apply(rec, w)
-        spent += len(elem.c0.letters) + len(elem.c1.letters)
-        if spent > limit:
-            raise BoundExceeded(f"restrictions grew past {limit} letters")
-        return elem
-
-    return phi
-
-
-def _core_children(phi: Restrict, w: GenWord) -> tuple[GenWord, GenWord] | None:
-    """Cyclic cores of the two restrictions of ``w``; None if ``w`` is active."""
-    elem = phi(w)
-    if elem.active:
-        return None
-    return _cyclic_core(elem.c0), _cyclic_core(elem.c1)
-
-
-def _active_restriction(phi: Restrict, w: GenWord, bound: int) -> GenWord | None:
-    """An active, cyclically reduced conjugate of a restriction of ``w`` under
-    ``phi``, or None when ``w`` acts trivially (see :func:`is_trivial_action`)."""
-    return _closure([_cyclic_core(w)], lambda g: _core_children(phi, g), bound)[1]
 
 
 def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -120,7 +55,7 @@ def is_trivial_action(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     tables conjugate rather than shorten), and it stops at the first active
     state.
     """
-    return _active_restriction(_restrictions(rec, bound), w, bound) is None
+    return _Search(rec, bound).walk(w)[1] is None
 
 
 def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
@@ -132,18 +67,16 @@ def is_kernel_element(rec: Recursion, w: GenWord, bound: int = 10000) -> bool:
     may fix every vertex yet keep non-trivial restriction words forever, and
     such an element is *not* a kernel element.
 
-    The walk runs over cyclic cores, with the identity as a leaf and an
-    active state ending it (outside the kernel).  A finished walk is
-    outside the kernel exactly when its graph has a cycle.
+    The walk runs over cyclic cores, and an active state ends it (outside
+    the kernel).  A finished walk is outside the kernel exactly when its
+    graph has a cycle other than the identity's self-loop.
     """
     if w.alphabet != rec.alphabet:
         raise AlphabetMismatch(f"word must be over {rec.alphabet.names}")
-    phi = _restrictions(rec, bound)
-    root = _cyclic_core(w)
-    graph, stop = _closure(
-        [root], lambda g: () if g.is_identity else _core_children(phi, g), bound
+    graph, stop = _Search(rec, bound).walk(w)
+    return stop is None and all(
+        g.is_identity for g in _components(graph, list(graph), set())
     )
-    return stop is None and not _components(graph, [root], set())
 
 
 def action_equal(
@@ -174,39 +107,80 @@ def _level_actions(rec: Recursion) -> dict[tuple[str, int], bytes]:
     return tables
 
 
-class _ActionIndex:
-    """Canonical representatives of words up to equal tree action.
+class _Search:
+    """One search over ``rec`` within ``bound``: its restrictions, its word
+    problem walks and its up-to-action index.
 
-    Words are keyed by their action on level ``_LEVEL`` (which fixes the
-    activity of each restriction above it); only words with equal keys pay
-    for a word-problem run.
+    ``restrict`` computes each word's restrictions once and charges their
+    letters to the budget of ``max(100 * bound, 100_000)`` letters; the
+    restriction that passes it raises BoundExceeded.  ``canon`` maps a word
+    to the first word met with the same tree action.  It keys words by their
+    action on level ``_LEVEL`` (which fixes the activity of each restriction
+    above it), so only words with equal keys pay for a ``walk``, and those
+    walks share the restrictions and core children of the search they serve.
     """
 
-    def __init__(self, rec: Recursion, phi: Restrict, bound: int):
-        self.phi = phi
-        self.bound = bound
-        self.tables = _level_actions(rec)
+    def __init__(self, rec: Recursion, bound: int):
+        self.rec, self.bound = rec, bound
+        self.limit, self.spent = max(100 * bound, 100_000), 0
+        self.elems: dict[GenWord, WreathElem] = {}
+        # cyclic core -> the cores of its two restrictions; None if active
+        self.cores: dict[GenWord, tuple[GenWord, GenWord] | None] = {}
         self.rep_of: dict[GenWord, GenWord] = {}
         self.by_key: dict[bytes, list[GenWord]] = {}
 
+    def restrict(self, w: GenWord) -> WreathElem:
+        elem = self.elems.get(w)
+        if elem is None:
+            elem = self.elems[w] = phi_apply(self.rec, w)
+            self.spent += len(elem.c0.letters) + len(elem.c1.letters)
+            if self.spent > self.limit:
+                raise BoundExceeded(f"restrictions grew past {self.limit} letters")
+        return elem
+
+    def walk(self, w: GenWord) -> tuple[dict, GenWord | None]:
+        """Breadth-first walk over the cyclic cores of the restrictions of
+        ``w``, from the core of ``w``: the graph of the cores visited, and
+        the active core that ended the walk (None when it finished).  The
+        (bound+1)-th distinct core raises BoundExceeded."""
+        graph: dict[GenWord, tuple[GenWord, ...]] = {}
+        queue = deque([_cyclic_core(w)])
+        while queue:
+            g = queue.popleft()
+            if g in graph:
+                continue
+            if len(graph) >= self.bound:
+                raise BoundExceeded(
+                    f"restriction closure grew past {self.bound} states"
+                )
+            if g not in self.cores:
+                elem = self.restrict(g)
+                self.cores[g] = None if elem.active else (
+                    _cyclic_core(elem.c0), _cyclic_core(elem.c1)
+                )
+            kids = self.cores[g]
+            if kids is None:
+                return graph, g
+            graph[g] = kids
+            queue += kids
+        return graph, None
+
     def key(self, w: GenWord) -> bytes:
         # the tree acts on the right: a letter's table applies after earlier ones
+        tables = _level_actions(self.rec)
         return functools.reduce(
-            bytes.translate, map(self.tables.__getitem__, w.letters), _VERTICES
+            bytes.translate, map(tables.__getitem__, w.letters), _VERTICES
         )
 
     def canon(self, w: GenWord) -> GenWord:
-        hit = self.rep_of.get(w)
-        if hit is not None:
-            return hit
-        key = self.key(w)
-        for cand in self.by_key.get(key, ()):
-            if _active_restriction(self.phi, w * ~cand, self.bound) is None:
-                self.rep_of[w] = cand
-                return cand
-        self.rep_of[w] = w
-        self.by_key.setdefault(key, []).append(w)
-        return w
+        rep = self.rep_of.get(w)
+        if rep is None:
+            reps = self.by_key.setdefault(self.key(w), [])
+            rep = next((c for c in reps if self.walk(w * ~c)[1] is None), w)
+            if rep is w:
+                reps.append(w)
+            self.rep_of[w] = rep
+        return rep
 
 
 def _components(
@@ -284,21 +258,18 @@ def nucleus(
     strongly connected components, and a flood from the cyclic ones finds
     the new states.
     """
-    one = rec.alphabet.identity()
-    phi = _restrictions(rec, bound)
-    if up_to_action:
-        # the index's word problems share the restrictions of the search
-        phi = functools.cache(phi)
-        canon = _ActionIndex(rec, phi, bound).canon
-    else:
-        # one object per word: set and dict lookups then match on identity
-        # and skip the dataclass __eq__
-        interned: dict[GenWord, GenWord] = {}
-        canon = lambda w: interned.setdefault(w, w)
+    search = _Search(rec, bound)
+    canon = search.canon
+    if not up_to_action:
+        # over words a word's representative is the first equal object: set
+        # and dict lookups then match on identity and skip the dataclass __eq__
+        canon = lambda w: search.rep_of.setdefault(w, w)
     # the restriction graph: each expanded word -> its two canonical children
     graph: dict[GenWord, tuple[GenWord, GenWord]] = {}
     placed: set[GenWord] = set()
 
+    # the identity first, so that it represents its own action
+    one = canon(rec.alphabet.identity())
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
     symmetric.discard(one)
     gen_list = _sorted_words(symmetric)
@@ -306,7 +277,7 @@ def nucleus(
     # a state scanned in an earlier round has its products' states in result;
     # result | extra is closed under restriction, so a flood stops there
     result: set[GenWord] = set()
-    extra = {canon(one)}
+    extra = {one}
     while extra:
         result |= extra
         new, extra = extra, set()
@@ -323,7 +294,7 @@ def nucleus(
                     w = queue.popleft()
                     if w in graph:
                         continue
-                    elem = phi(w)
+                    elem = search.restrict(w)
                     kids = graph[w] = canon(elem.c0), canon(elem.c1)
                     # w is interned too, so `is` finds a self-loop
                     if not up_to_action and not elem.active and w.letters and (
@@ -398,22 +369,20 @@ def moore_diagram(
     """
     ordered = _sorted_words(set(states))
     pos = {s: i for i, s in enumerate(ordered)}
-    phi = functools.cache(_restrictions(rec, bound))
-    index = None
+    search = _Search(rec, bound)
 
     next0, next1, active = [], [], []
     violations: list[tuple[GenWord, int, GenWord]] = []
     for s in ordered:
-        elem = phi(s)
+        elem = search.restrict(s)
         row = []
         for letter, child in ((0, elem.c0), (1, elem.c1)):
             hit = pos.get(child)
             if hit is None:
-                if index is None:
-                    index = _ActionIndex(rec, phi, bound)
+                if not search.rep_of:
                     for state in ordered:
-                        index.canon(state)
-                hit = pos.get(index.canon(child))
+                        search.canon(state)
+                hit = pos.get(search.canon(child))
             if hit is None:
                 violations.append((s, letter, child))
             else:

@@ -218,13 +218,13 @@ def test_nucleus_refuses_dot_with_json(capsys):
 def test_bound_reaches_the_moore_diagram(capsys, monkeypatch, argv):
     # the Moore diagram of an up-to-action nucleus runs word problems too
     bounds = []
-    closure = selfsim._closure
+    walk = selfsim._Search.walk
 
-    def spy(roots, children, bound):
-        bounds.append(bound)
-        return closure(roots, children, bound)
+    def spy(search, w):
+        bounds.append(search.bound)
+        return walk(search, w)
 
-    monkeypatch.setattr(selfsim, "_closure", spy)
+    monkeypatch.setattr(selfsim._Search, "walk", spy)
     code, _, _ = run(capsys, *argv, "--bound", "5000")
     assert code == 0
     assert bounds and set(bounds) == {5000}

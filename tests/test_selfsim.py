@@ -4,7 +4,7 @@ import math
 import random
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -24,13 +24,10 @@ from twistclass.rabbit import (
 from twistclass.periodic2 import MODULI, moduli_i_recursion
 from twistclass.preperiod2 import moduli_q_recursion
 from twistclass.selfsim import (
-    _ActionIndex,
-    _active_restriction,
-    _closure,
     _components,
     _cyclic_core,
     _level_actions,
-    _restrictions,
+    _Search,
     _sorted_words,
     NotStateClosed,
     automata_distinct,
@@ -49,13 +46,35 @@ A, B = MODULI.gens()
 
 # --- closures -----------------------------------------------------------------
 
+def plain_closure(roots, children, bound):
+    """Breadth-first closure of ``roots`` under ``children``: the successor
+    graph of the states visited, and the state at which ``children`` stopped
+    the walk by returning None (None when the walk finished).  The
+    (bound+1)-th distinct state raises BoundExceeded before ``children``
+    sees it.  The plain searches below take their walks from it."""
+    graph = {}
+    queue = deque(roots)
+    while queue:
+        w = queue.popleft()
+        if w in graph:
+            continue
+        if len(graph) >= bound:
+            raise BoundExceeded(f"restriction closure grew past {bound} states")
+        kids = children(w)
+        if kids is None:
+            return graph, w
+        graph[w] = kids
+        queue += kids
+    return graph, None
+
+
 def restriction_states(rec, seeds, bound=10000):
-    """States of the plain restriction closure: ``_closure`` with both
-    coordinates of the recursion image as children."""
+    """States of the plain restriction closure, with both coordinates of
+    the recursion image as children."""
     def children(w):
         elem = phi_apply(rec, w)
         return elem.c0, elem.c1
-    return set(_closure(seeds, children, bound)[0])
+    return set(plain_closure(seeds, children, bound)[0])
 
 
 def test_closure_of_identity():
@@ -73,12 +92,6 @@ def test_closure_of_b_pinned():
     rec = moduli_i_recursion()
     got = restriction_states(rec, [B], 100)
     assert got == {B, ~B * ~A, A * B, ~B}
-
-
-def test_closure_bound():
-    rec = moduli_i_recursion()
-    with pytest.raises(BoundExceeded):
-        restriction_states(rec, [B], 2)
 
 
 def test_closure_contracting_words_terminate():
@@ -163,13 +176,9 @@ def closure_size(rec, w, step):
     return len(seen)
 
 
-def plain_closure_size(rec, w, bound):
-    return len(restriction_states(rec, [w], bound))
-
-
 @pytest.mark.parametrize("search, step, rec, w, want", [
-    (plain_closure_size, lambda g: g, mcg_recursion(), T, 4),
-    (plain_closure_size, lambda g: g, moduli_i_recursion(), B, 4),
+    (is_trivial_action, _cyclic_core, moduli_i_recursion(), (A * B) ** 4, True),
+    (is_kernel_element, _cyclic_core, moduli_i_recursion(), A * A, True),
     (is_trivial_action, _cyclic_core, moduli_i_recursion(), A * A, True),
     (is_trivial_action, _cyclic_core, moduli_i_recursion(), B ** 4, True),
     (is_kernel_element, _cyclic_core, moduli_i_recursion(), (A * B) ** 4, True),
@@ -331,13 +340,21 @@ class PortraitIndex:
             level = nxt
         return tuple(bits)
 
+    def core_children(self, w):
+        elem = self.phi(w)
+        if elem.active:
+            return None
+        return _cyclic_core(elem.c0), _cyclic_core(elem.c1)
+
     def canon(self, w):
         hit = self.rep_of.get(w)
         if hit is not None:
             return hit
         key = self.portrait(w)
         for cand in self.by_portrait.get(key, []):
-            if _active_restriction(self.phi, w * ~cand, self.bound) is None:
+            if plain_closure(
+                [_cyclic_core(w * ~cand)], self.core_children, self.bound
+            )[1] is None:
                 self.rep_of[w] = cand
                 return cand
         self.rep_of[w] = w
@@ -385,13 +402,15 @@ def plain_nucleus(rec, gens, bound, up_to_action):
     def eventual_range(w):
         w = canon(w)
         if w not in ranges:
-            ranges[w] = peel(_closure([w], children, math.inf)[0])
+            ranges[w] = peel(plain_closure([w], children, math.inf)[0])
         return ranges[w]
 
+    # the identity first, so that it represents its own action
+    one = canon(one)
     symmetric = {canon(h) for g in gens for h in (g, ~g)}
     symmetric.discard(one)
     gen_list = _sorted_words(symmetric)
-    result = {canon(one)}
+    result = {one}
     while True:
         found = set().union(*[
             eventual_range(g * s) for g in _sorted_words(result)
@@ -454,9 +473,17 @@ LOOP_PAST_THE_BOUND = Recursion.make(AB2, {
 @example(LOOP_PAST_THE_BOUND, 4)
 def test_nucleus_matches_the_plain_search_on_small_recursions(rec, bound):
     for up_to_action in (False, True):
-        assert outcome(nucleus, rec, bound, up_to_action) == outcome(
-            plain_nucleus, rec, bound, up_to_action
-        ), up_to_action
+        got = outcome(nucleus, rec, bound, up_to_action)
+        assert got == outcome(plain_nucleus, rec, bound, up_to_action), up_to_action
+        if up_to_action and isinstance(got, set):
+            assert rec.alphabet.identity() in got
+
+
+def test_an_up_to_action_nucleus_holds_the_identity():
+    # a acts trivially; canonised before the identity, it stood for the
+    # identity's action, and the answer was {a}
+    states = nucleus(LOOP_PAST_THE_BOUND, AB2.gens(), 100, up_to_action=True)
+    assert states == {AB2.identity()}
 
 
 #: nucleus sizes of the built-ins, each with its registry flag
@@ -517,14 +544,18 @@ def test_growing_restrictions_blow_the_letter_budget(up_to_action):
 
 
 def test_the_letter_budget_counts_the_letters_of_restrictions():
-    # alpha^n|_0 = beta^n and alpha^n|_1 = 1: each call spends n letters
+    # alpha^n|_0 = beta^n and alpha^n|_1 = 1: a word of n letters spends n
+    # letters the first time, and nothing when it is asked for again
     alpha = ABC.gen("alpha")
     for bound, limit in ((1, 100_000), (2000, 200_000)):
-        phi = _restrictions(GROWING, bound)
-        phi(alpha ** (limit // 2))
-        phi(alpha ** (limit // 2))
+        n = limit // 2
+        search = _Search(GROWING, bound)
+        search.restrict(alpha ** n)
+        search.restrict(alpha ** -n)
+        # the limit is spent; had the repeat been charged, it would raise
+        search.restrict(alpha ** n)
         with pytest.raises(BoundExceeded, match=f"past {limit} letters"):
-            phi(alpha)
+            search.restrict(alpha)
 
 
 def test_word_problems_on_growing_restrictions_blow_the_letter_budget():
@@ -562,7 +593,7 @@ def test_level_action_keys_split_words_like_activity_portraits(name, lengths, rn
     words = [random_word(rec.alphabet, n, rng) for n in lengths]
     # a 16th power acts trivially on level 4, so these collide with words
     words += [w * words[-1] ** 16 for w in words]
-    key = _ActionIndex(rec, None, 0).key
+    key = _Search(rec, 0).key
     portrait = PortraitIndex(rec, None, 0).portrait
     pairs = {(key(w), portrait(w)) for w in words}
     # equal keys exactly when equal portraits: keys and portraits pair up
@@ -665,16 +696,16 @@ def test_a_word_level_diagram_runs_no_word_problem(name, monkeypatch):
     # up-to-action index of moore_diagram is never built
     rec = cli.RECURSIONS[name][0]()
     states = nucleus(rec, rec.alphabet.gens(), 10000)
-    closures = []
-    closure = selfsim._closure
+    walks = []
+    walk = _Search.walk
 
-    def spy(roots, children, bound):
-        closures.append(bound)
-        return closure(roots, children, bound)
+    def spy(search, w):
+        walks.append(w)
+        return walk(search, w)
 
-    monkeypatch.setattr(selfsim, "_closure", spy)
+    monkeypatch.setattr(_Search, "walk", spy)
     assert moore_diagram(rec, states).size == len(states)
-    assert closures == []
+    assert walks == []
 
 
 def test_moore_diagram_not_closed_error():
