@@ -111,13 +111,14 @@ class _Search:
     """One search over ``rec`` within ``bound``: its restrictions, its word
     problem walks and its up-to-action index.
 
-    ``restrict`` computes each word's restrictions once and charges their
-    letters to the budget of ``max(100 * bound, 100_000)`` letters; the
-    restriction that passes it raises BoundExceeded.  ``canon`` maps a word
-    to the first word met with the same tree action.  It keys words by their
-    action on level ``_LEVEL`` (which fixes the activity of each restriction
-    above it), so only words with equal keys pay for a ``walk``, and those
-    walks share the restrictions and core children of the search they serve.
+    ``restrict`` computes each word's restrictions once and keeps them;
+    ``charge`` counts their letters against the budget of ``max(100 *
+    bound, 100_000)`` letters, and the restriction that passes it raises
+    BoundExceeded.  ``canon`` maps a word to the first word met with the
+    same tree action.  It keys words by their action on level ``_LEVEL``
+    (which fixes the activity of each restriction above it), so only words
+    with equal keys pay for a ``walk``, and those walks share the
+    restrictions and core children of the search they serve.
     """
 
     def __init__(self, rec: Recursion, bound: int):
@@ -132,10 +133,13 @@ class _Search:
     def restrict(self, w: GenWord) -> WreathElem:
         elem = self.elems.get(w)
         if elem is None:
-            elem = self.elems[w] = phi_apply(self.rec, w)
-            self.spent += len(elem.c0.letters) + len(elem.c1.letters)
-            if self.spent > self.limit:
-                raise BoundExceeded(f"restrictions grew past {self.limit} letters")
+            elem = self.elems[w] = self.charge(phi_apply(self.rec, w))
+        return elem
+
+    def charge(self, elem: WreathElem) -> WreathElem:
+        self.spent += len(elem.c0.letters) + len(elem.c1.letters)
+        if self.spent > self.limit:
+            raise BoundExceeded(f"restrictions grew past {self.limit} letters")
         return elem
 
     def walk(self, w: GenWord) -> tuple[dict, GenWord | None]:
@@ -259,11 +263,14 @@ def nucleus(
     the new states.
     """
     search = _Search(rec, bound)
-    canon = search.canon
+    canon, restrict = search.canon, search.restrict
     if not up_to_action:
         # over words a word's representative is the first equal object: set
         # and dict lookups then match on identity and skip the dataclass __eq__
         canon = lambda w: search.rep_of.setdefault(w, w)
+        # each word is expanded once and no walk reads its restrictions, so
+        # they are charged to the budget and not kept
+        restrict = lambda w: search.charge(phi_apply(rec, w))
     # the restriction graph: each expanded word -> its two canonical children
     graph: dict[GenWord, tuple[GenWord, GenWord]] = {}
     placed: set[GenWord] = set()
@@ -294,7 +301,7 @@ def nucleus(
                     w = queue.popleft()
                     if w in graph:
                         continue
-                    elem = search.restrict(w)
+                    elem = restrict(w)
                     kids = graph[w] = canon(elem.c0), canon(elem.c1)
                     # w is interned too, so `is` finds a self-loop
                     if not up_to_action and not elem.active and w.letters and (

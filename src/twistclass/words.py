@@ -199,6 +199,10 @@ class GenWord:
         )
 
     def __str__(self) -> str:
+        # a word the parser read from its own spelling keeps that text
+        text = self.__dict__.get("_text")
+        if text is not None:
+            return text
         if not self.letters:
             return "1"
         return " ".join(map(self.alphabet._spelling.__getitem__, self.letters))
@@ -315,6 +319,14 @@ AB = Alphabet(("a", "b"))
 # NAME is a generator name, the longest that matches; "1" is the identity;
 # DIGITS are one or more ASCII 0-9.
 #
+# A text of letters apart, with no "(", ")" or "^" and each whitespace-
+# separated piece a letter's spelling "N" or "N'" (the form str() prints),
+# skips the tokenizer: it is split at whitespace and each piece looked up.
+# The tokenizer reads the same letters from it, since a piece that spells a
+# letter leaves the longest-name rule nothing to choose, so both give one
+# word.  Such a word with no cancellation keeps the text single-spaced as
+# its str().  Every other text goes through the tokenizer.
+#
 # The tokenizer reads a run of letters (names, each with its apostrophes,
 # joined by juxtaposition or whitespace) as one token.  The parser takes a
 # run's letters in one step and keeps only the last open, so a "^k" or "'"
@@ -339,9 +351,13 @@ class _Letters(dict):
 @functools.cache
 def _token_pattern(
     names: tuple[str, ...],
-) -> tuple[re.Pattern[str], re.Pattern[str], _Letters, dict[Letter, Letter]]:
+) -> tuple[
+    re.Pattern[str], re.Pattern[str], _Letters, dict[Letter, Letter], tuple[str, ...]
+]:
     """The token pattern of an alphabet, with the letter pattern and the
-    letter table that read a run, and the inverse of each letter.
+    letter table that read a run, the inverse of each letter, and the
+    cancellations of a single-spaced spelling, " N N' " and " N' N " for
+    each name N.
 
     A token follows whitespace and is a run of letters, a '^' with its
     exponent, or any other single character.  A letter is a generator name
@@ -370,11 +386,40 @@ def _token_pattern(
         re.compile(rf"(?:{alternatives})(?:\s*')*"),
         table,
         inverse,
+        tuple(f" {a} {b} " for n in names for a, b in ((n, n + "'"), (n + "'", n))),
     )
 
 
+def _read_spelled(text: str, table: _Letters) -> tuple[list[Letter], str] | None:
+    """The letters of a text with no '(', ')' or '^', and its single-spaced
+    spelling, when it has at most MAX_WORD_LENGTH whitespace-separated
+    pieces, each a letter's spelling; None for any other such text."""
+    # one split past the cap leaves the rest of the text in one piece, so a
+    # longer text costs no more pieces; the tokenizer then names the letter
+    # that crossed the cap
+    pieces = text.split(None, MAX_WORD_LENGTH)
+    if len(pieces) > MAX_WORD_LENGTH:
+        return None
+    letters = list(map(table.get, pieces))
+    if None in letters:
+        return None
+    return letters, " ".join(pieces)
+
+
 def _parse(alphabet: Alphabet, text: str) -> GenWord:
-    tokens, letter, table, inverse = _token_pattern(alphabet.names)
+    tokens, letter, table, inverse, cancels = _token_pattern(alphabet.names)
+    plain = None
+    if "(" not in text and ")" not in text and "^" not in text:
+        plain = _read_spelled(text, table)
+    if plain is not None:
+        # letters apart cancel exactly where the single-spaced spelling
+        # holds " N N' " or " N' N "; without one it is the word's str()
+        letters, spelling = plain
+        if any(map(f" {spelling} ".__contains__, cancels)):
+            return _reduced(alphabet, letters, inverse)
+        w = GenWord._trusted(alphabet, tuple(letters))
+        w.__dict__["_text"] = spelling or "1"
+        return w
     # the letters of the open parenthesis level, reduced once when it closes
     # (not a product per factor, which keeps long words linear); the
     # enclosing levels wait on the stack with the position of their '('
@@ -463,9 +508,15 @@ def _parse(alphabet: Alphabet, text: str) -> GenWord:
             raise WordParseError(
                 f"word expands past {MAX_WORD_LENGTH} letters", factor_at
             )
+    return _reduced(alphabet, letters, inverse)
+
+
+def _reduced(
+    alphabet: Alphabet, letters: list[Letter], inverse: dict[Letter, Letter]
+) -> GenWord:
+    """The word of the parsed ``letters``, freely reduced."""
     # a C-level scan finds the first letter followed by its inverse; the
-    # letters before it are reduced, so the reducing loop starts there, and
-    # a text that str() spelled from a reduced word never runs it
+    # letters before it are reduced, so the reducing loop starts there
     try:
         i = operator.indexOf(
             map(operator.eq, letters[1:], map(inverse.__getitem__, letters)), True

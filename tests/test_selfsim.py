@@ -543,6 +543,21 @@ def test_growing_restrictions_blow_the_letter_budget(up_to_action):
     assert peak < 100 * 2**20
 
 
+def test_a_word_level_search_keeps_no_restrictions():
+    # over words each word is expanded once, so its restrictions are charged
+    # and dropped: fi gives up on the budget at bound 1000 with a tracemalloc
+    # peak of ~2.0 MB, where keeping every restriction peaked at ~4.5 MB
+    rec = cli.RECURSIONS["fi"][0]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="past 100000 letters"):
+            nucleus(rec, rec.alphabet.gens(), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_the_letter_budget_counts_the_letters_of_restrictions():
     # alpha^n|_0 = beta^n and alpha^n|_1 = 1: a word of n letters spends n
     # letters the first time, and nothing when it is asked for again

@@ -361,6 +361,86 @@ def test_parse_reduces_from_the_first_cancellation(alphabet):
             assert alphabet.parse(text) == alphabet.word(letters), text
 
 
+def tokenizer_parse(alphabet: Alphabet, text: str) -> GenWord:
+    """The word the tokenizer reads from ``text``, which has no parentheses:
+    in parentheses it holds an operator, so it never takes the path for
+    letters apart, and it reads as the same word; an error's position moves
+    back past the '('."""
+    try:
+        return alphabet.parse(f"({text})")
+    except WordParseError as err:
+        message = str(err).rpartition(" (at position")[0]
+        raise WordParseError(message, err.position - 1) from None
+
+
+def outcome(parse, alphabet: Alphabet, text: str) -> tuple:
+    try:
+        w = parse(alphabet, text)
+    except WordParseError as err:
+        return str(err), err.position
+    # a word read from its spelling keeps the single-spaced one
+    assert str(w) == str(alphabet.word(w.letters)), repr(text)
+    return w.letters,
+
+
+#: whitespace that str.split and the tokenizer's \s both take
+WHITESPACE = st.sampled_from(
+    [" ", "  ", "\t", "\n", " \t ", "\r\n", "\x0b\x0c", "\xa0", "\u2003", "\x1c"]
+)
+
+
+@st.composite
+def spelled_texts(draw, alphabet: Alphabet):
+    """A text of letter spellings apart, with inserted cancellations at the
+    start, inside or at the end, and at times the inverse of the whole word
+    after it; a few pieces are juxtaposed, "1" or a detached or doubled
+    apostrophe, which the tokenizer must read."""
+    letter = st.tuples(st.sampled_from(alphabet.names), st.sampled_from([1, -1]))
+    letters = draw(st.lists(letter, max_size=20))
+    for at, (name, sign) in draw(st.lists(
+        st.tuples(st.integers(0, len(letters)), letter), max_size=3
+    )):
+        letters[at:at] = [(name, sign), (name, -sign)]
+    if draw(st.booleans()):
+        letters += [(name, -sign) for name, sign in reversed(letters)]
+    pieces = [name + "'" * (sign < 0) for name, sign in letters]
+    if pieces and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(pieces) - 1))
+        pieces[at] = draw(st.sampled_from(["1", "'", "''", pieces[at] + "'"]))
+    text = draw(st.sampled_from(["", " ", "\t"]))
+    for i, piece in enumerate(pieces):
+        gap = draw(WHITESPACE)
+        if i and draw(st.integers(0, 15)) == 0:
+            gap = ""
+        text += (gap if i else "") + piece
+    return text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+def assert_read_as_the_tokenizer(alphabet: Alphabet, text: str) -> None:
+    got = outcome(Alphabet.parse, alphabet, text)
+    assert got == outcome(tokenizer_parse, alphabet, text), repr(text)
+
+
+@given(st.sampled_from(RUN_ALPHABETS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_letters_apart_as_the_tokenizer(alphabet, data):
+    assert_read_as_the_tokenizer(alphabet, data.draw(spelled_texts(alphabet)))
+
+
+@given(st.sampled_from(RUN_ALPHABETS), st.data())
+@settings(max_examples=8, deadline=None)
+def test_parse_reads_letters_apart_as_the_tokenizer_at_the_cap(alphabet, data):
+    # exactly MAX_WORD_LENGTH letters apart, or one more, which the
+    # tokenizer refuses at the letter that crossed the cap
+    chunk = data.draw(spelled_texts(alphabet).filter(lambda t: t.strip()))
+    pieces = chunk.split()
+    count = data.draw(st.sampled_from([MAX_WORD_LENGTH, MAX_WORD_LENGTH + 1]))
+    pieces = (pieces * (count // len(pieces) + 1))[:count]
+    gap = data.draw(WHITESPACE)
+    text = gap.join(pieces) + data.draw(st.sampled_from(["", " "]))
+    assert_read_as_the_tokenizer(alphabet, text)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(WordParseError) as err:
         GRAMMAR.parse("T x")
